@@ -26,7 +26,7 @@ rule = ThresholdRule.quantile(0.97)
 cfg = EstimatorConfig(mode="lattice", by_distance=True)
 
 model = MmaModel((40, 40), WeightSpec.indicator_ball(1.0))
-s = mc_study(model, ray, ray, rule, cfg, 2.0, n_reps=300, seed=1, threads=4)
+s = mc_study(model, ray, ray, rule, cfg, 2.0, n_reps=300, seed=1)
 print(f"replication study: {s.n_used} fields from {s.model}")
 print(f"{'distance':>9} {'mean':>7} {'sd':>7} {'q2.5':>7} {'q97.5':>7} "
       f"{'limit':>7} {'finite-m':>9}")
@@ -38,7 +38,7 @@ for k, d in enumerate(s.distances):
 rc = clt_rate_check(
     lambda n: MmaModel((n, n), WeightSpec.indicator_ball(1.0)),
     ray, ray, rule, EstimatorConfig(mode="lattice"), (1, 0),
-    sizes=(20, 40, 80), n_reps=200, seed=2, threads=4,
+    sizes=(20, 40, 80), n_reps=200, seed=2,
 )
 print(f"\nvariance at sizes {rc.sizes}: "
       + ", ".join(f"{v:.2e}" for v in rc.variances))
@@ -50,7 +50,7 @@ for label, field in (
     ("iid field", sim_frechet_iid((40, 40), seed=3)),
 ):
     b = permutation_bands(field, ray, ray, rule, cfg, 2.0,
-                          n_perm=500, seed=0, threads=4)
+                          n_perm=500, seed=0)
     flags = ["*" if not b.lo <= v <= b.hi else " " for v in b.observed.rho_hat]
     vals = ", ".join(f"{d:g}: {v:.3f}{f}" for d, v, f in
                      zip(b.observed.distances, b.observed.rho_hat, flags))

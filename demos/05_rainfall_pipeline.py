@@ -59,7 +59,7 @@ band_out = workdir / "bands.csv"
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(["bands", "--input", last["path"], "--mode", "lattice",
                  "--threshold", "q=0.75", "--lags", "1,0;0,1;1,1;2,0",
-                 "--permutations", "500", "--seed", "0", "--threads", "4",
+                 "--permutations", "500", "--seed", "0",
                  "--out", str(band_out)])
 assert code == 0
 table, meta = read_ese(str(band_out))

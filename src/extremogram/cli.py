@@ -1,9 +1,9 @@
 """Command-line surface: simulate, estimate, bands, oracle, mc, rate-check, ingest.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 degenerate estimation (threshold or denominator collapsed; a
-machine-readable ``{"error": ..., "message": ...}`` JSON object goes
-to stderr so batch drivers can react).
+3 degenerate estimation (threshold or denominator collapsed).  Every
+failing exit writes one machine-readable line
+``{"error": ..., "message": ...}`` to stderr so batch drivers can react.
 
 Reproducibility rule: every command that draws randomness (simulate,
 mc, rate-check, bands) requires an explicit --seed.
@@ -45,7 +45,6 @@ from .inference import (
     FrechetModel,
     MmaModel,
     PointProcessModel,
-    centered_grid_sites,
     clt_rate_check,
     mc_study,
     permutation_bands,
@@ -67,10 +66,6 @@ from .simulate import (
     FieldSource,
     VariogramSpec,
     WeightSpec,
-    sim_brown_resnick,
-    sim_frechet_iid,
-    sim_mma,
-    sim_point_field,
 )
 
 __all__ = ["main"]
@@ -100,15 +95,24 @@ _DEGENERATE_ERRORS = (
 )
 
 
-class _UsageError(Exception):
+class UsageError(Exception):
     pass
+
+
+# checked in order: the first matching row gives the exit code
+_EXIT_CODES = (
+    ((UsageError,), 1),
+    (_DEGENERATE_ERRORS, 3),
+    (_DATA_ERRORS, 2),
+    (_CONFIG_ERRORS, 1),
+)
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit 1, not 2."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +123,25 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"--dims must be comma-separated integers, got {text!r}")
+        raise UsageError(f"--dims must be comma-separated integers, got {text!r}")
     if not 1 <= len(dims) <= 3 or any(n < 1 for n in dims):
-        raise _UsageError(f"--dims must be 1 to 3 positive sides, got {text!r}")
+        raise UsageError(f"--dims must be 1 to 3 positive sides, got {text!r}")
     return dims
+
+
+def _parse_sets(args) -> tuple[ExtremeSet, ExtremeSet]:
+    set_a = _parse_set(args.set_a)
+    return set_a, (_parse_set(args.set_b) if args.set_b else set_a)
 
 
 def _parse_set(text: str) -> ExtremeSet:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _UsageError(f"set must be 'lower,upper' with inf allowed, got {text!r}")
+        raise UsageError(f"set must be 'lower,upper' with inf allowed, got {text!r}")
     try:
         lower, upper = (float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"set bounds must be numbers or inf, got {text!r}")
+        raise UsageError(f"set bounds must be numbers or inf, got {text!r}")
     return ExtremeSet(lower, upper)
 
 
@@ -141,13 +150,13 @@ def _parse_threshold(text: str) -> ThresholdRule:
         try:
             return ThresholdRule.quantile(float(text[2:]))
         except ValueError as exc:
-            raise _UsageError(f"bad quantile threshold {text!r}: {exc}")
+            raise UsageError(f"bad quantile threshold {text!r}: {exc}")
     if text.startswith("abs="):
         try:
             return ThresholdRule.absolute(float(text[4:]))
         except ValueError as exc:
-            raise _UsageError(f"bad absolute threshold {text!r}: {exc}")
-    raise _UsageError(f"--threshold must be q=<quantile> or abs=<level>, got {text!r}")
+            raise UsageError(f"bad absolute threshold {text!r}: {exc}")
+    raise UsageError(f"--threshold must be q=<quantile> or abs=<level>, got {text!r}")
 
 
 def _parse_lag_spec(text: str):
@@ -163,25 +172,25 @@ def _parse_lag_spec(text: str):
         vectors = []
         parts = [p for p in text.split(";") if p.strip()]
         if not parts:
-            raise _UsageError(f"no lag vectors in {text!r}")
+            raise UsageError(f"no lag vectors in {text!r}")
         for part in parts:
             comps = part.split(",")
             if len(comps) < 1 or len(comps) > 3:
-                raise _UsageError(f"lag vector must have 1..3 components, got {part!r}")
+                raise UsageError(f"lag vector must have 1..3 components, got {part!r}")
             try:
                 vectors.append(tuple(float(c) for c in comps))
             except ValueError:
-                raise _UsageError(f"bad lag vector {part!r}")
+                raise UsageError(f"bad lag vector {part!r}")
         return ("vectors", vectors)
     if "," in text:
         try:
             return ("list", [float(p) for p in text.split(",")])
         except ValueError:
-            raise _UsageError(f"bad lag list {text!r}")
+            raise UsageError(f"bad lag list {text!r}")
     try:
         return ("scalar", float(text))
     except ValueError:
-        raise _UsageError(f"bad lag specification {text!r}")
+        raise UsageError(f"bad lag specification {text!r}")
 
 
 def _resolve_lags(spec, config: EstimatorConfig, d: int):
@@ -190,7 +199,7 @@ def _resolve_lags(spec, config: EstimatorConfig, d: int):
     if config.by_distance:
         if config.mode == "lattice":
             if kind != "scalar":
-                raise _UsageError(
+                raise UsageError(
                     "lattice --by-distance takes a single max distance for --lags"
                 )
             return value
@@ -198,12 +207,12 @@ def _resolve_lags(spec, config: EstimatorConfig, d: int):
             return [value]
         if kind == "list":
             return value
-        raise _UsageError("kernel --by-distance takes distances, not lag vectors")
+        raise UsageError("kernel --by-distance takes distances, not lag vectors")
     if kind == "vectors":
         return [Lag.of(*v) for v in value]
     if kind == "scalar":
         return lag_grid(value, d)
-    raise _UsageError(
+    raise UsageError(
         "a comma list of distances needs --by-distance; "
         "use 'x,y;x,y' for explicit vector lags"
     )
@@ -216,17 +225,17 @@ def _parse_nu(text: str) -> float | None:
         try:
             return float(text[6:])
         except ValueError:
-            raise _UsageError(f"bad intensity {text!r}")
-    raise _UsageError(f"--nu must be 'plugin' or 'known=<value>', got {text!r}")
+            raise UsageError(f"bad intensity {text!r}")
+    raise UsageError(f"--nu must be 'plugin' or 'known=<value>', got {text!r}")
 
 
 def _parse_region(text: str) -> tuple[float, float, float, float]:
     try:
         region = tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"--region must be x0,x1,y0,y1, got {text!r}")
+        raise UsageError(f"--region must be x0,x1,y0,y1, got {text!r}")
     if len(region) != 4:
-        raise _UsageError(f"--region must have 4 components, got {text!r}")
+        raise UsageError(f"--region must have 4 components, got {text!r}")
     return region
 
 
@@ -235,13 +244,13 @@ def _parse_weights(text: str) -> WeightSpec:
         try:
             return WeightSpec.indicator_ball(float(text[5:]))
         except ValueError:
-            raise _UsageError(f"bad ball radius in {text!r}")
+            raise UsageError(f"bad ball radius in {text!r}")
     if text.startswith("geom:"):
         try:
             return WeightSpec.geometric(float(text[5:]))
         except ValueError:
-            raise _UsageError(f"bad geometric ratio in {text!r}")
-    raise _UsageError(f"--weights must be ball:<radius> or geom:<phi>, got {text!r}")
+            raise UsageError(f"bad geometric ratio in {text!r}")
+    raise UsageError(f"--weights must be ball:<radius> or geom:<phi>, got {text!r}")
 
 
 def _parse_windows(text: str) -> list[tuple[int, int]]:
@@ -249,11 +258,11 @@ def _parse_windows(text: str) -> list[tuple[int, int]]:
     for part in text.split(","):
         bounds = part.split(":")
         if len(bounds) != 2:
-            raise _UsageError(f"window must be start:stop, got {part!r}")
+            raise UsageError(f"window must be start:stop, got {part!r}")
         try:
             windows.append((int(bounds[0]), int(bounds[1])))
         except ValueError:
-            raise _UsageError(f"window bounds must be integers, got {part!r}")
+            raise UsageError(f"window bounds must be integers, got {part!r}")
     return windows
 
 
@@ -264,7 +273,7 @@ def _snap_distance(dist: float) -> Lag:
     maps them back to an attainable lattice separation.
     """
     if dist < 0:
-        raise _UsageError(f"distances must be nonnegative, got {dist}")
+        raise UsageError(f"distances must be nonnegative, got {dist}")
     reach = int(math.ceil(dist)) + 1
     best, best_err = (0, 0), abs(dist)
     for i in range(reach + 1):
@@ -303,7 +312,7 @@ def _estimator_config(args) -> EstimatorConfig:
     kernel = None
     if args.mode == "kernel":
         if args.bandwidth is None:
-            raise _UsageError("--mode kernel requires --bandwidth")
+            raise UsageError("--mode kernel requires --bandwidth")
         if args.kernel == "box":
             kernel = KernelSpec.box(args.bandwidth)
         else:
@@ -321,32 +330,7 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def _cmd_simulate(args) -> int:
-    if args.model == "frechet":
-        field = sim_frechet_iid(_parse_dims(args.dims), seed=args.seed)
-    elif args.model == "mma":
-        field = sim_mma(_parse_dims(args.dims), _parse_weights(args.weights), seed=args.seed)
-    elif args.model == "brown-resnick":
-        dims = _parse_dims(args.dims)
-        if len(dims) != 2:
-            raise _UsageError("brown-resnick simulation is planar; --dims nx,ny")
-        sites = centered_grid_sites(dims, args.spacing)
-        result = sim_brown_resnick(sites, _variogram(args), _br_config(args), seed=args.seed)
-        field = LatticeField(dims, result.values)
-    else:
-        region = _parse_region(args.region)
-        if (args.intensity is None) == (args.count is None):
-            raise _UsageError("point-field needs exactly one of --intensity or --count")
-        rule = (
-            CountRule.poisson(args.intensity)
-            if args.intensity is not None
-            else CountRule.fixed(args.count)
-        )
-        if args.source == "frechet":
-            source = FieldSource.frechet_iid()
-        else:
-            source = FieldSource.brown_resnick(_variogram(args), _br_config(args))
-        field = sim_point_field(region, rule, source, seed=args.seed)
-    fileio.write_field(args.out, field)
+    fileio.write_field(args.out, _field_model(args).simulate(args.seed))
     print(args.out)
     return 0
 
@@ -354,8 +338,7 @@ def _cmd_simulate(args) -> int:
 def _estimate_once(args):
     # flag misuse should be reported before any file is touched
     config = _estimator_config(args)
-    set_a = _parse_set(args.set_a)
-    set_b = _parse_set(args.set_b) if args.set_b else set_a
+    set_a, set_b = _parse_sets(args)
     rule = _parse_threshold(args.threshold)
     lag_spec = _parse_lag_spec(args.lags)
     data = _read_input(args.input)
@@ -376,8 +359,7 @@ def _cmd_bands(args) -> int:
     data, set_a, set_b, rule, config, lags = _estimate_once(args)
     band = permutation_bands(
         data, set_a, set_b, rule, config, lags,
-        n_perm=args.permutations, level=args.level,
-        seed=args.seed, threads=args.threads,
+        n_perm=args.permutations, level=args.level, seed=args.seed,
     )
     fileio.write_ese(args.out, band.observed, band=band, extra_meta={"input": args.input})
     print(args.out)
@@ -388,7 +370,7 @@ def _cmd_oracle(args) -> int:
     try:
         distances = [float(p) for p in args.lags.split(",")]
     except ValueError:
-        raise _UsageError(f"--lags must be comma-separated distances, got {args.lags!r}")
+        raise UsageError(f"--lags must be comma-separated distances, got {args.lags!r}")
     header = "distance,rho_limit" + (",rho_pa,m" if args.m is not None else "")
     lines = [header]
     for dist in distances:
@@ -398,7 +380,7 @@ def _cmd_oracle(args) -> int:
             pa = mma1_pa_extremogram(lag, args.m).rho_pa if args.m is not None else None
         elif args.model == "geometric":
             if args.phi is None:
-                raise _UsageError("--model geometric requires --phi")
+                raise UsageError("--model geometric requires --phi")
             lag = _snap_distance(dist)
             limit = mma_geometric_extremogram_classsum(args.phi, lag)
             pa = (
@@ -425,20 +407,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _mc_model(args):
-    if args.model == "mma1":
-        return MmaModel(_parse_dims(args.dims), WeightSpec.indicator_ball(1.0))
-    if args.model == "mma":
-        return MmaModel(_parse_dims(args.dims), _parse_weights(args.weights))
-    if args.model == "frechet":
-        return FrechetModel(_parse_dims(args.dims))
-    if args.model == "brown-resnick":
-        return BrLatticeModel(
-            _parse_dims(args.dims), _variogram(args), _br_config(args), spacing=args.spacing
-        )
+def _field_model(args):
+    """The model named by --model and its flags (simulate and mc)."""
+    if args.model != "point-field":
+        dims = _parse_dims(args.dims)
+        if args.model == "frechet":
+            return FrechetModel(dims)
+        if args.model == "mma1":
+            return MmaModel(dims, WeightSpec.indicator_ball(1.0))
+        if args.model == "mma":
+            return MmaModel(dims, _parse_weights(args.weights))
+        if len(dims) != 2:
+            raise UsageError("brown-resnick simulation is planar; --dims nx,ny")
+        return BrLatticeModel(dims, _variogram(args), _br_config(args), spacing=args.spacing)
     region = _parse_region(args.region)
     if (args.intensity is None) == (args.count is None):
-        raise _UsageError("point-field needs exactly one of --intensity or --count")
+        raise UsageError("point-field needs exactly one of --intensity or --count")
     rule = (
         CountRule.poisson(args.intensity)
         if args.intensity is not None
@@ -453,7 +437,7 @@ def _mc_model(args):
 
 def _mc_estimator(args) -> EstimatorConfig:
     if args.mode == "kernel" and args.model not in ("point-field",):
-        raise _UsageError("kernel mode in mc/rate-check needs --model point-field")
+        raise UsageError("kernel mode in mc/rate-check needs --model point-field")
     return _estimator_config(args)
 
 
@@ -481,14 +465,13 @@ def _print_or_write_mc(summary, out: str | None) -> None:
 
 
 def _cmd_mc(args) -> int:
-    model = _mc_model(args)
+    model = _field_model(args)
     config = _mc_estimator(args)
     lags = _resolve_lags(_parse_lag_spec(args.lags), config, len(_parse_dims(args.dims)))
-    set_a = _parse_set(args.set_a)
-    set_b = _parse_set(args.set_b) if args.set_b else set_a
+    set_a, set_b = _parse_sets(args)
     summary = mc_study(
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,
-        n_reps=args.reps, seed=args.seed, threads=args.threads,
+        n_reps=args.reps, seed=args.seed,
     )
     _print_or_write_mc(summary, args.out)
     return 0
@@ -498,7 +481,7 @@ def _cmd_rate_check(args) -> int:
     try:
         sizes = tuple(int(p) for p in args.sizes.split(","))
     except ValueError:
-        raise _UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     ref = _parse_lag_spec(args.ref_lag)
     if ref[0] == "vectors":
         ref_lag = Lag.of(*ref[1][0])
@@ -515,13 +498,12 @@ def _cmd_rate_check(args) -> int:
     elif args.model == "frechet":
         make_model = lambda n: FrechetModel((n, n))  # noqa: E731
     else:
-        raise _UsageError("rate-check supports --model mma1|mma|frechet")
-    set_a = _parse_set(args.set_a)
-    set_b = _parse_set(args.set_b) if args.set_b else set_a
+        raise UsageError("rate-check supports --model mma1|mma|frechet")
+    set_a, set_b = _parse_sets(args)
     rate = clt_rate_check(
         make_model, set_a, set_b, _parse_threshold(args.threshold),
         EstimatorConfig("lattice"), ref_lag,
-        sizes=sizes, n_reps=args.reps, seed=args.seed, threads=args.threads,
+        sizes=sizes, n_reps=args.reps, seed=args.seed,
     )
     if args.out:
         fileio.write_rate(args.out, rate)
@@ -619,7 +601,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--permutations", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bands)
 
@@ -639,7 +620,6 @@ def _build_parser() -> _Parser:
     _add_model_flags(p, ("frechet", "mma1", "mma", "brown-resnick", "point-field"))
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--mode", choices=("lattice", "kernel"), default="lattice")
     p.add_argument("--set-a", default="1,inf")
     p.add_argument("--set-b", default=None)
@@ -658,7 +638,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sizes", default="20,40,80")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--ref-lag", default="1,0")
     p.add_argument("--set-a", default="1,inf")
     p.add_argument("--set-b", default=None)
@@ -677,29 +656,16 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # -h/--help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DEGENERATE_ERRORS as exc:
+    except (UsageError, *_DEGENERATE_ERRORS, *_DATA_ERRORS, *_CONFIG_ERRORS) as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 3
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":

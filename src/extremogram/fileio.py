@@ -69,6 +69,16 @@ def sidecar_path(path: str) -> str:
     return base + ".json"
 
 
+def _distinct_sidecar(path) -> str:
+    # a .json table path is its own sidecar; refuse before writing either
+    side = sidecar_path(path)
+    if side == str(path):
+        raise ValueError(
+            f"{path}: output path collides with its JSON sidecar; use another extension"
+        )
+    return side
+
+
 # ---------------------------------------------------------------------------
 # field files
 
@@ -143,7 +153,7 @@ def read_field(path) -> LatticeField | PointField:
             raise DataFormatError(
                 f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(values)}"
             )
-        return LatticeField(dims, np.array(values))
+        return _checked(path, LatticeField, dims, np.array(values))
     if kind == "point":
         region = tuple(float(c) for c in meta.get("region", ()))
         if len(region) != 4:
@@ -161,13 +171,23 @@ def read_field(path) -> LatticeField | PointField:
                 values.append(float(parts[2]))
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {ln}: bad number") from exc
-        return PointField(
+        return _checked(
+            path,
+            PointField,
             np.array(locs, dtype=float).reshape(len(locs), 2),
             np.array(values),
             region,
             None if hint is None else float(hint),
         )
     raise DataFormatError(f"{path}: unknown field kind {kind!r}")
+
+
+def _checked(path, field_type, *args):
+    # a field the file describes but the type rejects is bad data
+    try:
+        return field_type(*args)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +228,6 @@ def _ese_meta(result: EseResult, band: BandResult | None, extra_meta) -> dict:
             "hi": band.hi,
             "level": band.level,
             "n_perm": band.n_perm,
-            "n_dropped": band.n_dropped,
             "per_lag": [[lo, hi] for lo, hi in band.per_lag],
         }
     if extra_meta:
@@ -236,6 +255,7 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
     The pooled band, when given, is repeated on every row (it is
     constant by construction); per-lag bands live in the sidecar.
     """
+    side = _distinct_sidecar(path)
     blo = _fmt(band.lo) if band is not None else ""
     bhi = _fmt(band.hi) if band is not None else ""
     lines = [",".join(ESE_COLUMNS)]
@@ -251,7 +271,7 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(sidecar_path(path), "w") as fh:
+    with open(side, "w") as fh:
         json.dump(_ese_meta(result, band, extra_meta), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -369,6 +389,7 @@ def read_space_time(path) -> SpaceTimeGrid:
 
 def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     """Write Monte Carlo aggregates, one row per estimator row."""
+    side = _distinct_sidecar(path)
     q_names = [f"q{q:g}" for q in sorted(summary.quantiles)]
     header = ["lag_x", "lag_y", "distance", "mean", "variance", *q_names,
               "oracle_limit", "oracle_pa"]
@@ -395,13 +416,14 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
         meta.update(extra_meta)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(sidecar_path(path), "w") as fh:
+    with open(side, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2, allow_nan=True)
         fh.write("\n")
 
 
 def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
     """Write the per-size variance table; the slope goes in the sidecar."""
+    side = _distinct_sidecar(path)
     lines = ["size,mean,variance"]
     for size, mean, var in zip(rate.sizes, rate.means, rate.variances):
         lines.append(f"{size},{_fmt(mean)},{_fmt(var)}")
@@ -415,6 +437,6 @@ def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
         meta.update(extra_meta)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(sidecar_path(path), "w") as fh:
+    with open(side, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -8,24 +8,18 @@ harness repeats simulate->estimate with derived per-replicate seeds and
 aggregates, attaching closed-form limit and finite-m reference values
 when the model has them.
 
-Both are embarrassingly parallel; every task draws its randomness from
-a stream derived from (seed, task index), and results are reduced in
-task order, so output is bit-identical for any worker count.
+Both are plain sequential loops over independent tasks; every task
+draws its randomness from a stream derived from (seed, task index), so
+a task's result does not depend on which tasks ran before it.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DomainError,
-    ExtremogramError,
-    TooFewPermutations,
-)
+from .errors import DomainError, ExtremogramError, TooFewPermutations
 from .fields import (
     ExtremeSet,
     Lag,
@@ -138,9 +132,8 @@ class BandResult:
 
     ``lo``/``hi`` are pooled over every (permutation, lag) estimate and
     are therefore constant across lags; ``per_lag`` keeps the per-lag
-    envelopes for diagnostics.  ``n_dropped`` counts permutations whose
-    estimate degenerated and was excluded.  ``observed`` is the
-    estimate on the unshuffled data.
+    envelopes for diagnostics.  ``observed`` is the estimate on the
+    unshuffled data.
     """
 
     lo: float
@@ -148,7 +141,6 @@ class BandResult:
     level: float
     n_perm: int
     per_lag: tuple[tuple[float, float], ...]
-    n_dropped: int
     observed: EseResult
 
     def __post_init__(self):
@@ -166,15 +158,15 @@ def permutation_bands(
     n_perm: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-    threads: int = 1,
 ) -> BandResult:
     """Random-permutation confidence bands at the given level.
 
     Permutation p shuffles the values over the fixed locations with the
     stream derived from (seed, p), so each permutation is reproducible
-    independent of execution order.  Permutations whose estimate raises
-    DegenerateDenominator are dropped and counted; other estimator
-    errors propagate.
+    independent of execution order.  A shuffle keeps the value
+    multiset, so the threshold, m and the denominator of every permuted
+    estimate equal those of the observed one: once the observed
+    estimate succeeds, no permutation can degenerate.
     """
     if n_perm < 100:
         raise TooFewPermutations(
@@ -183,23 +175,12 @@ def permutation_bands(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     observed = run_estimator(data, set_a, set_b, rule, config, lags)
-
-    def one(p: int):
-        shuffled = _permuted(data, derive_rng(seed, p))
-        try:
-            return run_estimator(shuffled, set_a, set_b, rule, config, lags).rho_hat
-        except DegenerateDenominator:
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            drawn = list(pool.map(one, range(n_perm)))
-    else:
-        drawn = [one(p) for p in range(n_perm)]
-    kept = [r for r in drawn if r is not None]
-    if not kept:
-        raise DegenerateDenominator("every permutation produced a degenerate estimate")
-    stack = np.vstack(kept)
+    stack = np.vstack([
+        run_estimator(
+            _permuted(data, derive_rng(seed, p)), set_a, set_b, rule, config, lags
+        ).rho_hat
+        for p in range(n_perm)
+    ])
     alpha = 1.0 - level
     lo, hi = np.quantile(stack.ravel(), [alpha / 2.0, 1.0 - alpha / 2.0])
     col_lo = np.quantile(stack, alpha / 2.0, axis=0)
@@ -210,7 +191,6 @@ def permutation_bands(
         level=level,
         n_perm=n_perm,
         per_lag=tuple((float(a), float(b)) for a, b in zip(col_lo, col_hi)),
-        n_dropped=len(drawn) - len(kept),
         observed=observed,
     )
 
@@ -395,7 +375,6 @@ def mc_study(
     lags,
     n_reps: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> McSummary:
     """Repeat simulate -> estimate and aggregate the estimates per row.
 
@@ -416,12 +395,7 @@ def mc_study(
         except ExtremogramError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            drawn = list(pool.map(one, range(n_reps)))
-    else:
-        drawn = [one(r) for r in range(n_reps)]
-    kept = [r for r in drawn if r is not None]
+    kept = [r for r in map(one, range(n_reps)) if r is not None]
     n_used = len(kept)
     if n_used == 0:
         return McSummary(
@@ -489,7 +463,6 @@ def clt_rate_check(
     sizes,
     n_reps: int,
     seed: int = 0,
-    threads: int = 1,
 ) -> RateCheck:
     """How fast the estimator variance shrinks as the grid grows.
 
@@ -499,26 +472,21 @@ def clt_rate_check(
     """
     if rule.kind != "quantile":
         raise DomainError("rate check requires a quantile threshold rule (fixed m)")
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     size_list = [int(n) for n in sizes]
     if not size_list:
         raise ValueError("need at least one size")
     lag = as_lag(ref_lag)
-    variances, means, d_seen = [], [], 2
+    variances, means = [], []
     for size in size_list:
         model = make_model(size)
-
-        def one(r: int, _model=model, _size=size):
-            data = _model.simulate(derive_seed(seed, _size, r))
-            rho = run_estimator(data, set_a, set_b, rule, config, [lag]).rho_hat[0]
-            return rho, getattr(data, "d", 2)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                drawn = list(pool.map(one, range(n_reps)))
-        else:
-            drawn = [one(r) for r in range(n_reps)]
-        vals = np.array([rho for rho, _ in drawn])
-        d_seen = drawn[0][1]
+        vals = []
+        for r in range(n_reps):
+            data = model.simulate(derive_seed(seed, size, r))
+            vals.append(run_estimator(data, set_a, set_b, rule, config, [lag]).rho_hat[0])
+        vals = np.array(vals)
+        d_seen = getattr(data, "d", 2)
         variances.append(vals.var(ddof=1) if n_reps > 1 else 0.0)
         means.append(vals.mean())
     variances = np.array(variances)

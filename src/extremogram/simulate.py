@@ -433,7 +433,7 @@ def _sim_br_spectral(sites, vario, config, rng):
         warnings.warn(
             f"spectral Brown-Resnick with n_terms={J} < 100 is likely badly truncated",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of sim_brown_resnick / sim_point_field
         )
     gamma = np.cumsum(rng.exponential(size=J))
     draws, d_site = _draw_increments(sites, vario, config.jitter, rng, J)
@@ -469,6 +469,12 @@ def _sim_br_gaussian_max(sites, vario, config, rng):
     return BrSimResult(values=values, truncation_fraction=None, method="gaussian_max")
 
 
+def _sim_br(sites, vario, config, rng) -> BrSimResult:
+    if config.method == "spectral":
+        return _sim_br_spectral(sites, vario, config, rng)
+    return _sim_br_gaussian_max(sites, vario, config, rng)
+
+
 def sim_brown_resnick(
     sites, vario: VariogramSpec, config: BrSimConfig, seed: int = 0
 ) -> BrSimResult:
@@ -489,10 +495,7 @@ def sim_brown_resnick(
     sites = np.asarray(sites, dtype=float)
     if sites.ndim != 2:
         raise ValueError("sites must be an (N, d) array")
-    rng = derive_rng(seed)
-    if config.method == "spectral":
-        return _sim_br_spectral(sites, vario, config, rng)
-    return _sim_br_gaussian_max(sites, vario, config, rng)
+    return _sim_br(sites, vario, config, derive_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +596,7 @@ def sim_point_field(
     if field_source.kind == "frechet_iid":
         values = _frechet(rng, n)
     else:
-        if field_source.config.method == "spectral":
-            values = _sim_br_spectral(
-                locations, field_source.vario, field_source.config, rng
-            ).values
-        else:
-            values = _sim_br_gaussian_max(
-                locations, field_source.vario, field_source.config, rng
-            ).values
+        values = _sim_br(locations, field_source.vario, field_source.config, rng).values
     return PointField(
         locations=locations,
         values=values,

@@ -112,7 +112,7 @@ def test_criterion_03_centering_on_pa():
     model = MmaModel((40, 40), WeightSpec.indicator_ball(1.0))
     s = mc_study(model, RAY, RAY, Q97,
                  EstimatorConfig(mode="lattice", by_distance=True), 2.0,
-                 n_reps=1000, seed=12, threads=4)
+                 n_reps=1000, seed=12)
     gaps = np.abs(s.mean - s.oracle_pa)
     sep = abs(s.mean[0] - 0.4)
     elapsed = time.time() - t0
@@ -159,7 +159,7 @@ def test_criterion_04_geometric_mma():
     model = MmaModel((40, 40), WeightSpec.geometric(0.5))
     s = mc_study(model, RAY, RAY, ThresholdRule.quantile(0.90),
                  EstimatorConfig(mode="lattice", by_distance=True), 1.0,
-                 n_reps=1000, seed=4, threads=4)
+                 n_reps=1000, seed=4)
     gap = abs(s.mean[0] - s.oracle_pa[0])
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and gap <= 0.04 and elapsed <= 180
@@ -341,12 +341,12 @@ def test_criterion_09_permutation_bands():
     for r in range(200):
         f = sim_frechet_iid((40, 40), seed=5000 + r)
         b = permutation_bands(f, RAY, RAY, Q97, cfg, 2.0, n_perm=500,
-                              seed=r, threads=4)
+                              seed=r)
         outside += sum(1 for v in b.observed.rho_hat if not b.lo <= v <= b.hi)
         total += len(b.observed.rho_hat)
         g = sim_mma((40, 40), WeightSpec.indicator_ball(1.0), seed=6000 + r)
         b2 = permutation_bands(g, RAY, RAY, Q97, cfg, 2.0, n_perm=500,
-                               seed=r, threads=4)
+                               seed=r)
         power += int(b2.observed.rho_hat[0] > b2.hi)
     frac_out = outside / total
     frac_power = power / 200
@@ -366,7 +366,7 @@ def test_criterion_10_clt_rate():
     rc = clt_rate_check(
         lambda n: MmaModel((n, n), WeightSpec.indicator_ball(1.0)),
         RAY, RAY, Q97, EstimatorConfig(mode="lattice"), (1, 0),
-        sizes=(20, 40, 80), n_reps=500, seed=10, threads=4,
+        sizes=(20, 40, 80), n_reps=500, seed=10,
     )
     elapsed = time.time() - t0
     ok = -1.35 <= rc.slope <= -0.65 and elapsed <= 600

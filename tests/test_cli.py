@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 
 from extremogram import (
+    BrLatticeModel,
+    BrSimConfig,
+    CountRule,
+    FieldSource,
+    FrechetModel,
     Lag,
+    MmaModel,
+    PointProcessModel,
     SpaceTimeGrid,
+    VariogramSpec,
+    WeightSpec,
     derive_rng,
     mma1_pa_extremogram,
     read_ese,
     read_field,
+    write_field,
     write_space_time,
 )
 from extremogram.cli import main
@@ -251,3 +261,72 @@ def test_lag_grammar_errors(tmp_path, capsys):
     assert code == 0
     table, _ = read_ese(str(tmp_path / "grid.csv"))
     assert len(table.rho_hat) > 4
+
+
+@pytest.mark.parametrize("flags, model", [
+    (["--model", "frechet", "--dims", "6,5"], FrechetModel((6, 5))),
+    (["--model", "mma", "--dims", "7,7", "--weights", "geom:0.5"],
+     MmaModel((7, 7), WeightSpec.geometric(0.5))),
+    (["--model", "brown-resnick", "--dims", "4,4", "--spacing", "0.3",
+      "--method", "gaussian-max", "--gaussians", "50"],
+     BrLatticeModel((4, 4), VariogramSpec(0.5, 2.0), BrSimConfig.gaussian_max(50),
+                    spacing=0.3)),
+    (["--model", "point-field", "--region", "0,3,0,2", "--count", "12",
+      "--source", "brown-resnick", "--terms", "200"],
+     PointProcessModel((0.0, 3.0, 0.0, 2.0), CountRule.fixed(12),
+                       FieldSource.brown_resnick(VariogramSpec(0.5, 2.0),
+                                                 BrSimConfig.spectral(200)))),
+])
+def test_simulate_writes_the_models_draw(tmp_path, capsys, flags, model):
+    cli_out, ref_out = tmp_path / "cli.csv", tmp_path / "ref.csv"
+    code, _, _ = run(capsys, "simulate", *flags, "--seed", "9", "--out", str(cli_out))
+    assert code == 0
+    write_field(ref_out, model.simulate(9))
+    assert cli_out.read_bytes() == ref_out.read_bytes()
+
+
+def test_estimate_refuses_a_table_path_that_is_its_own_sidecar(tmp_path, capsys):
+    src = str(tmp_path / "field.csv")
+    run(capsys, "simulate", "--model", "frechet", "--dims", "8,8",
+        "--seed", "2", "--out", src)
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "estimate", "--input", src, "--mode", "lattice",
+                       "--threshold", "q=0.9", "--lags", "1,0;", "--out", str(out))
+    assert code == 1 and "sidecar" in err
+    assert not out.exists()
+
+
+def test_negative_field_value_is_data_error(tmp_path, capsys):
+    src = tmp_path / "field.csv"
+    run(capsys, "simulate", "--model", "frechet", "--dims", "4,4",
+        "--seed", "3", "--out", str(src))
+    lines = src.read_text().splitlines()
+    lines[2] = "0,0,-2"
+    src.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "estimate", "--input", str(src), "--mode", "lattice",
+                       "--threshold", "q=0.9", "--lags", "1,0;",
+                       "--out", str(tmp_path / "o.csv"))
+    assert code == 2 and "nonnegative" in err
+
+
+def test_every_failing_exit_prints_one_json_line(tmp_path, capsys):
+    cases = [
+        (1, "frobnicate", ["frobnicate"]),
+        (1, "--threads", ["bands", "--input", "x.csv", "--mode", "lattice",
+                          "--threshold", "q=0.9", "--lags", "1,0;", "--seed", "0",
+                          "--threads", "2", "--out", "y.csv"]),
+        (1, "--phi", ["oracle", "--model", "geometric", "--lags", "1"]),
+        (1, "planar", ["simulate", "--model", "brown-resnick", "--dims", "4,4,4",
+                       "--seed", "0", "--out", str(tmp_path / "x.csv")]),
+        (2, "not found", ["estimate", "--input", str(tmp_path / "nope.csv"),
+                          "--mode", "lattice", "--threshold", "q=0.9",
+                          "--lags", "1,0;", "--out", str(tmp_path / "o.csv")]),
+    ]
+    for expected, needle, argv in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message"}
+        assert needle in payload["message"]

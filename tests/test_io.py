@@ -254,3 +254,39 @@ def test_fmt_is_exact_for_float64(tmp_path):
     write_field(p, f)
     back = read_field(p)
     assert np.array_equal(back.values, vals)
+
+
+def test_writers_refuse_a_path_that_is_its_own_sidecar(tmp_path):
+    f = sim_frechet_iid((6, 6), seed=6)
+    res = lattice_ese(f, RAY, RAY, Q90, [Lag.of(1, 0)])
+    s = mc_study(FrechetModel((6, 6)), RAY, RAY, Q90,
+                 EstimatorConfig(mode="lattice"), [Lag.of(1, 0)],
+                 n_reps=2, seed=0)
+    rc = clt_rate_check(lambda n: FrechetModel((n, n)), RAY, RAY, Q90,
+                        EstimatorConfig(mode="lattice"), (1, 0), (6,),
+                        n_reps=2, seed=0)
+    p = tmp_path / "out.json"
+    for write, obj in ((write_ese, res), (write_mc, s), (write_rate, rc)):
+        with pytest.raises(ValueError, match="sidecar"):
+            write(p, obj)
+        assert not p.exists()
+
+
+@pytest.mark.parametrize("bad", ["-1.5", "nan"])
+def test_unusable_field_values_are_data_errors(tmp_path, bad):
+    lat = tmp_path / "lat.csv"
+    write_field(lat, sim_frechet_iid((3, 3), seed=7))
+    lines = lat.read_text().splitlines()
+    lines[3] = "0,1," + bad
+    lat.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="lat.csv"):
+        read_field(lat)
+
+    pts = tmp_path / "pts.csv"
+    write_field(pts, sim_point_field((0, 4, 0, 4), CountRule.fixed(5),
+                                     FieldSource.frechet_iid(), seed=7))
+    lines = pts.read_text().splitlines()
+    lines[2] = "1,1," + bad
+    pts.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="pts.csv"):
+        read_field(pts)

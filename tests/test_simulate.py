@@ -184,3 +184,15 @@ def test_count_rule_validation():
         CountRule.poisson(0.0)
     with pytest.raises(ValueError):
         CountRule.fixed(-1)
+
+
+def test_short_spectral_series_warns_at_the_callers_line():
+    config = BrSimConfig.spectral(n_terms=20)
+    vario = VariogramSpec(theta=1.0, alpha=1.0)
+    with pytest.warns(RuntimeWarning, match="n_terms=20") as caught:
+        sim_brown_resnick(centered_grid_sites((3, 3), 0.5), vario, config, seed=0)
+    assert caught[0].filename == __file__
+    with pytest.warns(RuntimeWarning, match="n_terms=20") as caught:
+        sim_point_field((0, 2, 0, 2), CountRule.fixed(5),
+                        FieldSource.brown_resnick(vario, config), seed=0)
+    assert caught[0].filename == __file__
