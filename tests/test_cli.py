@@ -312,9 +312,9 @@ def test_negative_field_value_is_data_error(tmp_path, capsys):
 def test_every_failing_exit_prints_one_json_line(tmp_path, capsys):
     cases = [
         (1, "frobnicate", ["frobnicate"]),
-        (1, "--threads", ["bands", "--input", "x.csv", "--mode", "lattice",
+        (1, "--workers", ["bands", "--input", "x.csv", "--mode", "lattice",
                           "--threshold", "q=0.9", "--lags", "1,0;", "--seed", "0",
-                          "--threads", "2", "--out", "y.csv"]),
+                          "--workers", "2", "--out", "y.csv"]),
         (1, "--phi", ["oracle", "--model", "geometric", "--lags", "1"]),
         (1, "planar", ["simulate", "--model", "brown-resnick", "--dims", "4,4,4",
                        "--seed", "0", "--out", str(tmp_path / "x.csv")]),
