@@ -467,7 +467,8 @@ def _print_or_write_mc(summary, out: str | None) -> None:
 def _cmd_mc(args) -> int:
     model = _field_model(args)
     config = _mc_estimator(args)
-    lags = _resolve_lags(_parse_lag_spec(args.lags), config, len(_parse_dims(args.dims)))
+    d = 2 if args.model == "point-field" else len(_parse_dims(args.dims))  # points are planar
+    lags = _resolve_lags(_parse_lag_spec(args.lags), config, d)
     set_a, set_b = _parse_sets(args)
     summary = mc_study(
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DataFormatError
 from .fields import LatticeField, PointField
 from .inference import BandResult, McSummary, RateCheck
-from .lattice import EseResult
 from .pipeline import SpaceTimeGrid
+from .results import EseResult
 
 __all__ = [
     "EseTable",

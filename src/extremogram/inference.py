@@ -2,8 +2,10 @@
 
 The permutation bands answer "is there any spatial dependence among
 these values at all": values are shuffled uniformly over the fixed
-locations, the estimator is rerun per shuffle, and the pooled quantiles
-of the shuffled estimates form a flat null envelope. The Monte Carlo
+locations, each shuffle is estimated, and the pooled quantiles of the
+shuffled estimates form a flat null envelope.  On a lattice every
+shuffle is counted over one geometry plan from the observed indicators;
+kernel bands rerun the estimator per shuffle. The Monte Carlo
 harness repeats simulate->estimate with derived per-replicate seeds and
 aggregates, attaching closed-form limit and finite-m reference values
 when the model has them.
@@ -31,8 +33,9 @@ from .fields import (
     derive_seed,
 )
 from .kernel import KernelSpec, kernel_ese, kernel_ese_by_distance
-from .lattice import EseResult, lattice_ese, lattice_ese_by_distance
+from .lattice import lattice_ese, lattice_ese_by_distance, lattice_plan
 from .oracles import br_extremogram, br_pa_extremogram, mma_extremogram, mma_pa_extremogram
+from .results import EseResult
 from .simulate import (
     BrSimConfig,
     FieldSource,
@@ -119,11 +122,37 @@ def run_estimator(data, set_a, set_b, rule, config: EstimatorConfig, lags) -> Es
     return kernel_ese(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu)
 
 
-def _permuted(data, rng) -> LatticeField | PointField:
-    shuffled = rng.permutation(data.values)
-    if isinstance(data, LatticeField):
-        return LatticeField(data.dims, shuffled)
-    return PointField(data.locations, shuffled, data.region, data.intensity_hint)
+# Budget for the int64 site indices of one chunk of lattice shuffles
+# (the two gathered indicator batches add a quarter of it), so band
+# memory stays bounded at any grid size: 40 shuffles of a 40x40 grid.
+_CHUNK_BYTES = 1 << 19
+
+
+def _lattice_shuffle_rho(field: LatticeField, set_a, set_b, config, lags,
+                         observed: EseResult, n_perm: int, seed: int) -> np.ndarray:
+    """rho_hat of every shuffle of a lattice field, one row per permutation.
+
+    ``derive_rng(seed, p).permutation(n_sites)`` draws the same shuffle
+    as permuting the values with that stream, and indicators are
+    elementwise, so shuffle p's indicators are the observed ones
+    gathered through that index; its threshold and denominator are the
+    observed ones.  Every shuffle is counted over one plan.
+    """
+    plan = lattice_plan(field.dims, lags, config.by_distance)
+    ind_a = set_a.indicator(field.values, observed.a_m)
+    ind_b = set_b.indicator(field.values, observed.a_m)
+    n_sites = field.size
+    chunk = max(1, _CHUNK_BYTES // (8 * n_sites))
+    rows = []
+    for start in range(0, n_perm, chunk):
+        idx = np.stack([
+            derive_rng(seed, p).permutation(n_sites)
+            for p in range(start, min(start + chunk, n_perm))
+        ])
+        shape = (len(idx), *field.dims)
+        hits = plan.hits(ind_a[idx].reshape(shape), ind_b[idx].reshape(shape))
+        rows.append(plan.rho(hits, observed.denom_rate))
+    return np.vstack(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +195,9 @@ def permutation_bands(
     independent of execution order.  A shuffle keeps the value
     multiset, so the threshold, m and the denominator of every permuted
     estimate equal those of the observed one: once the observed
-    estimate succeeds, no permutation can degenerate.
+    estimate succeeds, no permutation can degenerate.  Lattice shuffles
+    are counted in chunks of bounded memory; the result is the same as
+    estimating each shuffled field on its own.
     """
     if n_perm < 100:
         raise TooFewPermutations(
@@ -175,12 +206,17 @@ def permutation_bands(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     observed = run_estimator(data, set_a, set_b, rule, config, lags)
-    stack = np.vstack([
-        run_estimator(
-            _permuted(data, derive_rng(seed, p)), set_a, set_b, rule, config, lags
-        ).rho_hat
-        for p in range(n_perm)
-    ])
+    if config.mode == "lattice":
+        stack = _lattice_shuffle_rho(data, set_a, set_b, config, lags, observed, n_perm, seed)
+    else:
+        stack = np.vstack([
+            run_estimator(
+                PointField(data.locations, derive_rng(seed, p).permutation(data.values),
+                           data.region, data.intensity_hint),
+                set_a, set_b, rule, config, lags,
+            ).rho_hat
+            for p in range(n_perm)
+        ])
     alpha = 1.0 - level
     lo, hi = np.quantile(stack.ravel(), [alpha / 2.0, 1.0 - alpha / 2.0])
     col_lo = np.quantile(stack, alpha / 2.0, axis=0)

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .errors import DegenerateDenominator, EmptyField
 from .fields import ExtremeSet, Lag, PointField, ThresholdRule, as_lag, resolve_threshold
-from .lattice import EseResult
+from .results import EseResult
 
 __all__ = [
     "KernelSpec",
@@ -137,9 +137,15 @@ def kernel_p_hat(
         raise EmptyField("point field has no observations")
     nu_used = _resolve_nu(pf, nu)
     a_m, m = resolve_threshold(pf.values, rule)
-    n_a = int(np.count_nonzero(set_a.indicator(pf.values, a_m)))
-    p_hat = m * n_a / (nu_used * pf.area)
+    p_hat, _ = _p_hat(pf, set_a, a_m, m, nu_used)
     return p_hat, a_m, m, nu_used
+
+
+def _p_hat(pf: PointField, set_a: ExtremeSet, a_m: float, m: float,
+           nu_used: float) -> tuple[float, int]:
+    """(p_hat, #{value in a_m A}) at a resolved threshold and intensity."""
+    n_a = int(np.count_nonzero(set_a.indicator(pf.values, a_m)))
+    return m * n_a / (nu_used * pf.area), n_a
 
 
 def _sorted_sum(values: np.ndarray) -> float:
@@ -232,12 +238,12 @@ def kernel_ese(
     ``bandwidth_degenerate`` set rather than an error.
     """
     taus = kernel_tau_hat(pf, set_a, set_b, rule, kernel, lags, nu)
-    p_hat, a_m, m, nu_used = kernel_p_hat(pf, set_a, rule, nu)
+    a_m, m, nu_used = taus.a_m, taus.m, taus.nu_used
+    p_hat, n_a = _p_hat(pf, set_a, a_m, m, nu_used)
     if p_hat == 0.0:
         raise DegenerateDenominator(
             f"no point lands in {set_a.label()} at threshold {a_m:g}"
         )
-    n_a = int(np.count_nonzero(set_a.indicator(pf.values, a_m)))
     return EseResult(
         lags=taus.lags,
         distances=np.array([lag.norm for lag in taus.lags]),

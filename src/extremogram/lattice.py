@@ -9,11 +9,15 @@ no wraparound, n(h) = prod_i (n_i - |h_i|).
 `lattice_ese` keeps one row per vector lag; `lattice_ese_by_distance`
 pools every integer lag of equal norm into a single row, which is the
 natural display for isotropic fields.
+
+Both run over one :class:`LatticePlan`, the value-free geometry of an
+estimate (lag slices, pair counts, distance classes).  Values enter
+only as indicator grids with a leading batch axis, so the same plan
+counts one field or a whole batch of shuffles of it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,58 +31,9 @@ from .fields import (
     lag_grid,
     resolve_threshold,
 )
+from .results import EseResult
 
-__all__ = ["EseResult", "lattice_ese", "lattice_ese_by_distance"]
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class EseResult:
-    """Per-row extremogram estimates with the counts behind them.
-
-    One row per vector lag, or per distance class when ``by_distance``
-    is set (``lags`` then holds one representative lag per class).
-    ``pair_count`` is the number of ordered pairs evaluated and
-    ``exceed_count`` the number that hit both sets; for kernel
-    estimates these count kernel-support visits instead, and
-    ``rho_hat`` comes from the weighted sums rather than the raw
-    counts.  ``denom_rate`` is the fraction of sites (or points) whose
-    value lands in the scaled A set.
-    """
-
-    lags: tuple[Lag, ...]
-    distances: np.ndarray
-    rho_hat: np.ndarray
-    pair_count: np.ndarray
-    exceed_count: np.ndarray
-    a_m: float
-    m: float
-    set_a: ExtremeSet
-    set_b: ExtremeSet
-    denom_rate: float
-    mode: str
-    by_distance: bool = False
-    bandwidth_degenerate: bool = False
-    nu_used: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "distances", _frozen(self.distances, float))
-        object.__setattr__(self, "rho_hat", _frozen(self.rho_hat, float))
-        object.__setattr__(self, "pair_count", _frozen(self.pair_count, np.int64))
-        object.__setattr__(self, "exceed_count", _frozen(self.exceed_count, np.int64))
-        n = len(self.lags)
-        for name in ("distances", "rho_hat", "pair_count", "exceed_count"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have one entry per row")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.lags)
+__all__ = ["LatticePlan", "lattice_plan", "lattice_ese", "lattice_ese_by_distance"]
 
 
 def _lag_slices(dims, offset):
@@ -92,32 +47,94 @@ def _lag_slices(dims, offset):
     return disp, base
 
 
-def _check_lag(field: LatticeField, lag: Lag) -> tuple[int, ...]:
-    if lag.d != field.d:
+def _check_lag(dims: tuple[int, ...], lag: Lag) -> tuple[int, ...]:
+    if lag.d != len(dims):
         raise LagOutOfRange(
-            f"lag {lag.offset} has dimension {lag.d}, field has {field.d}"
+            f"lag {lag.offset} has dimension {lag.d}, field has {len(dims)}"
         )
     if not lag.is_integer:
         raise LagOutOfRange(f"lattice lags must be integer-valued, got {lag.offset}")
     off = lag.int_offset()
-    for o, n in zip(off, field.dims):
+    for o, n in zip(off, dims):
         if abs(o) >= n:
             raise LagOutOfRange(
-                f"lag {lag.offset} does not fit a grid with side lengths {field.dims}"
+                f"lag {lag.offset} does not fit a grid with side lengths {dims}"
             )
     return off
 
 
-def _pair_counts(field, ind_a, ind_b, lag):
-    """(hits, pairs) for one lag: A evaluated at t+h, B at t."""
-    off = _check_lag(field, lag)
-    pairs = math.prod(n - abs(o) for o, n in zip(off, field.dims))
-    disp, base = _lag_slices(field.dims, off)
-    hits = int(np.count_nonzero(ind_a[disp] & ind_b[base]))
-    return hits, pairs
+class LatticePlan:
+    """Value-free geometry of a lattice estimate on a grid of shape ``dims``.
+
+    Holds, per lag, the slices picking the displaced and base sites and
+    the pair count n(h); with ``by_distance`` the lags are pooled into
+    one row per squared norm, sorted by distance, each represented by
+    the lexicographically largest member of its class.  ``lags``,
+    ``distances`` and ``pair_count`` describe the output rows.
+    """
+
+    def __init__(self, dims, lags, by_distance: bool = False):
+        dims = tuple(dims)
+        lag_list = list(lags)
+        offsets = [_check_lag(dims, lag) for lag in lag_list]
+        self._slices = [_lag_slices(dims, off) for off in offsets]
+        lag_pairs = np.array(
+            [math.prod(n - abs(o) for o, n in zip(off, dims)) for off in offsets],
+            dtype=np.int64,
+        )
+        self.by_distance = by_distance
+        if by_distance:
+            keys = [int(round(lag.norm_sq)) for lag in lag_list]
+            classes = sorted(set(keys))
+            # lag-by-row 0/1 membership; integer sums pool exactly
+            self._members = np.array(
+                [[k == key for key in classes] for k in keys], dtype=np.int64
+            ).reshape(len(keys), len(classes))
+            self.lags = tuple(
+                Lag(max(lag.offset for lag, k in zip(lag_list, keys) if k == key))
+                for key in classes
+            )
+            self.distances = np.array([math.sqrt(key) for key in classes])
+        else:
+            self._members = None
+            self.lags = tuple(lag_list)
+            self.distances = np.array([lag.norm for lag in lag_list])
+        self.pair_count = self._pool(lag_pairs[None, :])[0]
+
+    def _pool(self, per_lag: np.ndarray) -> np.ndarray:
+        """Sum per-lag columns of a (batch, lags) array into output rows."""
+        return per_lag if self._members is None else per_lag @ self._members
+
+    def hits(self, ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
+        """Pair hits per row for a batch of indicator grids.
+
+        ``ind_a`` and ``ind_b`` have shape ``(batch, *dims)``; A is read
+        at the displaced site t+h and B at the base site t.  Returns a
+        ``(batch, rows)`` int64 array.
+        """
+        per_lag = np.empty((ind_a.shape[0], len(self._slices)), dtype=np.int64)
+        for k, (disp, base) in enumerate(self._slices):
+            both = ind_a[(Ellipsis, *disp)] & ind_b[(Ellipsis, *base)]
+            per_lag[:, k] = [np.count_nonzero(grid) for grid in both]
+        return self._pool(per_lag)
+
+    def rho(self, hits: np.ndarray, denom_rate: float) -> np.ndarray:
+        """rho_hat = [hits / n(h)] / denom_rate, elementwise over a hits batch."""
+        return (hits / self.pair_count) / denom_rate
 
 
-def _threshold_and_indicators(field, set_a, set_b, rule):
+def lattice_plan(dims, lags, by_distance: bool = False) -> LatticePlan:
+    """Plan of `lattice_ese` at vector ``lags`` or, with ``by_distance``,
+    of `lattice_ese_by_distance` at the max distance ``lags``."""
+    if not by_distance:
+        return LatticePlan(dims, [as_lag(h) for h in lags])
+    max_dist = float(lags)
+    if not max_dist > 0:
+        raise ValueError(f"max_dist must be positive, got {max_dist}")
+    return LatticePlan(dims, lag_grid(max_dist, len(dims)), by_distance=True)
+
+
+def _estimate(field: LatticeField, set_a, set_b, rule, plan: LatticePlan) -> EseResult:
     a_m, m = resolve_threshold(field.values, rule)
     grid = field.grid
     ind_a = set_a.indicator(grid, a_m)
@@ -127,7 +144,22 @@ def _threshold_and_indicators(field, set_a, set_b, rule):
         raise DegenerateDenominator(
             f"no site lands in {set_a.label()} at threshold {a_m:g}"
         )
-    return a_m, m, ind_a, ind_b, n_a / field.size
+    denom_rate = n_a / field.size
+    hits = plan.hits(ind_a[None], ind_b[None])
+    return EseResult(
+        lags=plan.lags,
+        distances=plan.distances,
+        rho_hat=plan.rho(hits, denom_rate)[0],
+        pair_count=plan.pair_count,
+        exceed_count=hits[0],
+        a_m=a_m,
+        m=m,
+        set_a=set_a,
+        set_b=set_b,
+        denom_rate=denom_rate,
+        mode="lattice",
+        by_distance=plan.by_distance,
+    )
 
 
 def lattice_ese(
@@ -147,28 +179,7 @@ def lattice_ese(
     scaled A set (a NaN here would silently poison any aggregation),
     and LagOutOfRange for non-integer lags or |h_i| >= n_i.
     """
-    lag_list = [as_lag(h) for h in lags]  # dimension checked per-lag below
-    a_m, m, ind_a, ind_b, denom_rate = _threshold_and_indicators(
-        field, set_a, set_b, rule
-    )
-    hits = np.empty(len(lag_list), dtype=np.int64)
-    pairs = np.empty(len(lag_list), dtype=np.int64)
-    for i, lag in enumerate(lag_list):
-        hits[i], pairs[i] = _pair_counts(field, ind_a, ind_b, lag)
-    rho = (hits / pairs) / denom_rate
-    return EseResult(
-        lags=tuple(lag_list),
-        distances=np.array([lag.norm for lag in lag_list]),
-        rho_hat=rho,
-        pair_count=pairs,
-        exceed_count=hits,
-        a_m=a_m,
-        m=m,
-        set_a=set_a,
-        set_b=set_b,
-        denom_rate=denom_rate,
-        mode="lattice",
-    )
+    return _estimate(field, set_a, set_b, rule, lattice_plan(field.dims, lags))
 
 
 def lattice_ese_by_distance(
@@ -187,40 +198,5 @@ def lattice_ese_by_distance(
     is the lexicographically largest member of its class, e.g. (1,0)
     for distance 1 and (1,1) for sqrt 2.
     """
-    if not max_dist > 0:
-        raise ValueError(f"max_dist must be positive, got {max_dist}")
-    lags = lag_grid(max_dist, field.d)
-    a_m, m, ind_a, ind_b, denom_rate = _threshold_and_indicators(
-        field, set_a, set_b, rule
-    )
-    classes: dict[int, list] = {}
-    for lag in lags:
-        h, p = _pair_counts(field, ind_a, ind_b, lag)
-        key = int(round(lag.norm_sq))
-        classes.setdefault(key, []).append((lag, h, p))
-
-    reps, dists, rho, pooled_h, pooled_p = [], [], [], [], []
-    for key in sorted(classes):
-        members = classes[key]
-        rep = max(m_lag.offset for m_lag, _, _ in members)
-        h_sum = sum(h for _, h, _ in members)
-        p_sum = sum(p for _, _, p in members)
-        reps.append(Lag(rep))
-        dists.append(math.sqrt(key))
-        pooled_h.append(h_sum)
-        pooled_p.append(p_sum)
-        rho.append((h_sum / p_sum) / denom_rate)
-    return EseResult(
-        lags=tuple(reps),
-        distances=np.array(dists),
-        rho_hat=np.array(rho),
-        pair_count=np.array(pooled_p, dtype=np.int64),
-        exceed_count=np.array(pooled_h, dtype=np.int64),
-        a_m=a_m,
-        m=m,
-        set_a=set_a,
-        set_b=set_b,
-        denom_rate=denom_rate,
-        mode="lattice",
-        by_distance=True,
-    )
+    plan = lattice_plan(field.dims, max_dist, by_distance=True)
+    return _estimate(field, set_a, set_b, rule, plan)

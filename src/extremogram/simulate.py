@@ -22,6 +22,8 @@ windows) and watch the emitted truncation diagnostic.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -426,6 +428,24 @@ def sim_gaussian_increments(
     return draws[:, 0]
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` naming the innermost frame outside this package.
+
+    Counted from the caller of this function, so a warning raised there
+    points at the user's line whichever package path led to it.
+    (``warnings.warn(skip_file_prefixes=...)`` needs Python 3.12.)
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def _sim_br_spectral(sites, vario, config, rng):
     n_sites = len(sites)
     J = config.n_terms
@@ -433,7 +453,7 @@ def _sim_br_spectral(sites, vario, config, rng):
         warnings.warn(
             f"spectral Brown-Resnick with n_terms={J} < 100 is likely badly truncated",
             RuntimeWarning,
-            stacklevel=4,  # the caller of sim_brown_resnick / sim_point_field
+            stacklevel=_outside_stacklevel(),
         )
     gamma = np.cumsum(rng.exponential(size=J))
     draws, d_site = _draw_increments(sites, vario, config.jitter, rng, J)

@@ -182,6 +182,17 @@ def test_mc_writes_file(tmp_path, capsys):
     assert open(out).readline().startswith("lag_x,lag_y,")
 
 
+def test_mc_point_field_ignores_dims(capsys):
+    # a point field is planar; --dims belongs to the lattice models
+    code, out, err = run(capsys, "mc", "--model", "point-field", "--dims", "0",
+                         "--region", "0,6,0,6", "--count", "60", "--mode", "kernel",
+                         "--bandwidth", "1.0", "--lags", "1", "--reps", "2",
+                         "--seed", "0", "--threshold", "q=0.9")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("distance,mean,variance,") and len(lines) == 2
+
+
 def test_rate_check_stdout(capsys):
     code, out, _ = run(capsys, "rate-check", "--model", "frechet",
                        "--sizes", "10,20", "--reps", "40", "--seed", "0",

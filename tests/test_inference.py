@@ -17,6 +17,7 @@ from extremogram import (
     LatticeField,
     MC_QUANTILES,
     MmaModel,
+    PointField,
     PointProcessModel,
     CountRule,
     FieldSource,
@@ -40,6 +41,7 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
+from extremogram.inference import _CHUNK_BYTES
 
 RAY = ExtremeSet.ray(1.0)
 Q90 = ThresholdRule.quantile(0.9)
@@ -112,16 +114,52 @@ def test_bands_validation():
                           n_perm=100, level=1.0)
 
 
-def test_bands_equal_per_permutation_reference():
+def _mma15():
+    return sim_mma((15, 15), WeightSpec.indicator_ball(1.0), seed=3)
+
+
+LAGS3 = [Lag.of(1, 0), Lag.of(0, 1), Lag.of(2, 0)]
+LAT_BD = EstimatorConfig(mode="lattice", by_distance=True)
+BOUNDED = ExtremeSet(1.0, 3.0)
+
+BAND_CASES = {
+    "vector-lags": (_mma15, RAY, RAY, Q90, LAT, LAGS3, 120),
+    "by-distance": (_mma15, RAY, RAY, Q90, LAT_BD, 2.0, 120),
+    "bounded-a": (_mma15, BOUNDED, RAY, Q90, LAT, LAGS3, 120),
+    "bounded-b-absolute": (_mma15, RAY, BOUNDED, ThresholdRule.absolute(5.0), LAT_BD, 2.0, 120),
+    "1d": (lambda: sim_frechet_iid((50,), seed=4), RAY, RAY, Q90, LAT, [Lag.of(1), Lag.of(-3)], 100),
+    "3d": (lambda: sim_frechet_iid((6, 5, 4), seed=5), BOUNDED, BOUNDED, Q90, LAT_BD, 1.5, 100),
+    # 40x40 shuffles are counted in several chunks; 130 leaves a partial one
+    "chunk-remainder": (lambda: sim_mma((40, 40), WeightSpec.indicator_ball(1.0), seed=6),
+                        RAY, RAY, ThresholdRule.quantile(0.97), LAT_BD, 2.0, 130),
+    "kernel": (lambda: sim_point_field((0, 8, 0, 8), CountRule.fixed(60),
+                                       FieldSource.frechet_iid(), seed=7),
+               RAY, RAY, Q90, EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1.5)),
+               [Lag.of(1.0, 0.0), Lag.of(0.5, 0.5)], 100),
+}
+
+
+def _shuffled(data, rng):
+    values = rng.permutation(data.values)
+    if isinstance(data, LatticeField):
+        return LatticeField(data.dims, values)
+    return PointField(data.locations, values, data.region, data.intensity_hint)
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_bands_equal_per_permutation_reference(case):
     # reference: shuffle with the (seed, p) stream, estimate each shuffle,
     # take pooled and per-lag quantiles of the stacked estimates
-    f = sim_mma((15, 15), WeightSpec.indicator_ball(1.0), seed=3)
-    lags = [Lag.of(1, 0), Lag.of(0, 1), Lag.of(2, 0)]
-    band = permutation_bands(f, RAY, RAY, Q90, LAT, lags, n_perm=120, seed=7)
+    make, set_a, set_b, rule, config, lags, n_perm = BAND_CASES[case]
+    data = make()
+    if case == "chunk-remainder":
+        chunk = _CHUNK_BYTES // (8 * data.size)
+        assert 1 < chunk < n_perm and n_perm % chunk != 0
+    band = permutation_bands(data, set_a, set_b, rule, config, lags, n_perm=n_perm, seed=7)
     stack = np.vstack([
-        lattice_ese(LatticeField(f.dims, derive_rng(7, p).permutation(f.values)),
-                    RAY, RAY, Q90, lags).rho_hat
-        for p in range(120)
+        run_estimator(_shuffled(data, derive_rng(7, p)), set_a, set_b, rule,
+                      config, lags).rho_hat
+        for p in range(n_perm)
     ])
     lo, hi = np.quantile(stack.ravel(), [0.025, 0.975])
     col_lo = np.quantile(stack, 0.025, axis=0)
@@ -129,7 +167,7 @@ def test_bands_equal_per_permutation_reference():
     assert band.lo == lo and band.hi == hi
     assert band.per_lag == tuple(zip(col_lo.tolist(), col_hi.tolist()))
     assert np.array_equal(band.observed.rho_hat,
-                          lattice_ese(f, RAY, RAY, Q90, lags).rho_hat)
+                          run_estimator(data, set_a, set_b, rule, config, lags).rho_hat)
 
 
 def test_bands_collapse_when_everything_exceeds():

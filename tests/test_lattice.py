@@ -1,9 +1,14 @@
 """Lattice estimator: exactness against a double loop, plus invariances."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremogram import (
     DegenerateDenominator,
+    DegenerateThreshold,
     ExtremeSet,
     Lag,
     LagOutOfRange,
@@ -211,3 +216,42 @@ def test_by_distance_representative_lags_have_right_norm():
     pooled = lattice_ese_by_distance(field, RAY, RAY, ThresholdRule.quantile(0.9), 3.0)
     for lag, dist in zip(pooled.lags, pooled.distances):
         assert lag.norm == pytest.approx(dist, abs=1e-12)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A small 1-3 d grid of random values, a pair of sets, a rule and lags."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    field = random_field(dims, draw(st.integers(0, 2**16)))
+    sets = [
+        ExtremeSet(draw(st.sampled_from([0.5, 1.0, 1.5])),
+                   draw(st.sampled_from([math.inf, 2.0, 4.0])))
+        for _ in range(2)
+    ]
+    rule = draw(st.one_of(
+        st.floats(0.3, 0.95).map(ThresholdRule.quantile),
+        st.floats(1.0, 6.0).map(ThresholdRule.absolute),
+    ))
+    lag = st.tuples(*[st.integers(-(n - 1), n - 1) for n in dims]).map(Lag)
+    return field, *sets, rule, draw(st.lists(lag, min_size=1, max_size=4))
+
+
+@given(lattice_cases())
+@settings(max_examples=80, deadline=None)
+def test_lattice_ese_equals_double_loop_property(case):
+    field, set_a, set_b, rule, lags = case
+    try:
+        a_m, _ = resolve_threshold(field.values, rule)
+    except DegenerateThreshold:
+        with pytest.raises(DegenerateThreshold):
+            lattice_ese(field, set_a, set_b, rule, lags)
+        return
+    if not np.any(set_a.indicator(field.values, a_m)):
+        with pytest.raises(DegenerateDenominator):
+            lattice_ese(field, set_a, set_b, rule, lags)
+        return
+    res = lattice_ese(field, set_a, set_b, rule, lags)
+    for i, lag in enumerate(lags):
+        hits, pairs, rho = brute_force(field, set_a, set_b, rule, lag)
+        assert (res.exceed_count[i], res.pair_count[i]) == (hits, pairs)
+        assert res.rho_hat[i] == rho

@@ -6,11 +6,17 @@ import pytest
 from scipy import stats
 
 from extremogram import (
+    BrLatticeModel,
     BrSimConfig,
     CountRule,
+    EstimatorConfig,
+    ExtremeSet,
     FieldSource,
+    Lag,
+    ThresholdRule,
     VariogramSpec,
     WeightSpec,
+    mc_study,
     sim_brown_resnick,
     sim_frechet_iid,
     sim_gaussian_increments,
@@ -195,4 +201,10 @@ def test_short_spectral_series_warns_at_the_callers_line():
     with pytest.warns(RuntimeWarning, match="n_terms=20") as caught:
         sim_point_field((0, 2, 0, 2), CountRule.fixed(5),
                         FieldSource.brown_resnick(vario, config), seed=0)
+    assert caught[0].filename == __file__
+    model = BrLatticeModel((3, 3), vario, config, spacing=0.5)
+    with pytest.warns(RuntimeWarning, match="n_terms=20") as caught:
+        mc_study(model, ExtremeSet.ray(1.0), ExtremeSet.ray(1.0),
+                 ThresholdRule.quantile(0.5), EstimatorConfig(mode="lattice"),
+                 [Lag.of(1, 0)], n_reps=1, seed=0)
     assert caught[0].filename == __file__
