@@ -32,7 +32,7 @@ from .fields import (
     derive_rng,
     derive_seed,
 )
-from .kernel import KernelSpec, kernel_ese, kernel_ese_by_distance
+from .kernel import KernelPlan, KernelSpec, kernel_ese, kernel_ese_by_distance
 from .lattice import lattice_ese, lattice_ese_by_distance, lattice_plan
 from .oracles import br_extremogram, br_pa_extremogram, mma_extremogram, mma_pa_extremogram
 from .results import EseResult
@@ -72,15 +72,14 @@ class EstimatorConfig:
     mode "lattice" needs a LatticeField, mode "kernel" a PointField
     plus a KernelSpec.  ``by_distance`` switches to one row per
     distance (lattice: pooled equal-norm lags; kernel: rho averaged
-    over ``n_angles`` directions).  ``nu`` is the known point
-    intensity; None means the plug-in N/|S|.
+    over 8 directions).  ``nu`` is the known point intensity; None
+    means the plug-in N/|S|.
     """
 
     mode: str
     by_distance: bool = False
     kernel: KernelSpec | None = None
     nu: float | None = None
-    n_angles: int = 8
 
     def __post_init__(self):
         if self.mode not in ("lattice", "kernel"):
@@ -114,45 +113,13 @@ def run_estimator(data, set_a, set_b, rule, config: EstimatorConfig, lags) -> Es
     if not isinstance(data, PointField):
         raise DomainError("kernel mode requires a PointField input")
     if config.by_distance:
-        dists = [float(lags)] if np.isscalar(lags) else [float(r) for r in lags]
-        return kernel_ese_by_distance(
-            data, set_a, set_b, rule, config.kernel, dists,
-            nu=config.nu, n_angles=config.n_angles,
-        )
+        return kernel_ese_by_distance(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu)
     return kernel_ese(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu)
 
 
-# Budget for the int64 site indices of one chunk of lattice shuffles
-# (the two gathered indicator batches add a quarter of it), so band
-# memory stays bounded at any grid size: 40 shuffles of a 40x40 grid.
+# Budget for the int64 site indices of one chunk of shuffles, so band
+# memory stays bounded at any field size: 40 shuffles of a 40x40 grid.
 _CHUNK_BYTES = 1 << 19
-
-
-def _lattice_shuffle_rho(field: LatticeField, set_a, set_b, config, lags,
-                         observed: EseResult, n_perm: int, seed: int) -> np.ndarray:
-    """rho_hat of every shuffle of a lattice field, one row per permutation.
-
-    ``derive_rng(seed, p).permutation(n_sites)`` draws the same shuffle
-    as permuting the values with that stream, and indicators are
-    elementwise, so shuffle p's indicators are the observed ones
-    gathered through that index; its threshold and denominator are the
-    observed ones.  Every shuffle is counted over one plan.
-    """
-    plan = lattice_plan(field.dims, lags, config.by_distance)
-    ind_a = set_a.indicator(field.values, observed.a_m)
-    ind_b = set_b.indicator(field.values, observed.a_m)
-    n_sites = field.size
-    chunk = max(1, _CHUNK_BYTES // (8 * n_sites))
-    rows = []
-    for start in range(0, n_perm, chunk):
-        idx = np.stack([
-            derive_rng(seed, p).permutation(n_sites)
-            for p in range(start, min(start + chunk, n_perm))
-        ])
-        shape = (len(idx), *field.dims)
-        hits = plan.hits(ind_a[idx].reshape(shape), ind_b[idx].reshape(shape))
-        rows.append(plan.rho(hits, observed.denom_rate))
-    return np.vstack(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,9 +162,12 @@ def permutation_bands(
     independent of execution order.  A shuffle keeps the value
     multiset, so the threshold, m and the denominator of every permuted
     estimate equal those of the observed one: once the observed
-    estimate succeeds, no permutation can degenerate.  Lattice shuffles
-    are counted in chunks of bounded memory; the result is the same as
-    estimating each shuffled field on its own.
+    estimate succeeds, no permutation can degenerate.  Shuffle p's
+    indicators are the observed ones gathered through
+    ``derive_rng(seed, p).permutation(n)``, the same shuffle as permuting
+    the values with that stream, and are counted over one geometry plan
+    in chunks of bounded memory: the result is the same as estimating
+    each shuffled field on its own.
     """
     if n_perm < 100:
         raise TooFewPermutations(
@@ -207,16 +177,21 @@ def permutation_bands(
         raise ValueError(f"level must be in (0, 1), got {level}")
     observed = run_estimator(data, set_a, set_b, rule, config, lags)
     if config.mode == "lattice":
-        stack = _lattice_shuffle_rho(data, set_a, set_b, config, lags, observed, n_perm, seed)
+        plan = lattice_plan(data.dims, lags, config.by_distance)
     else:
-        stack = np.vstack([
-            run_estimator(
-                PointField(data.locations, derive_rng(seed, p).permutation(data.values),
-                           data.region, data.intensity_hint),
-                set_a, set_b, rule, config, lags,
-            ).rho_hat
-            for p in range(n_perm)
+        plan = KernelPlan(data.locations, config.kernel, lags, config.by_distance)
+    ind_a = set_a.indicator(data.values, observed.a_m)
+    ind_b = set_b.indicator(data.values, observed.a_m)
+    n = data.values.size
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    rows = []
+    for start in range(0, n_perm, chunk):
+        idx = np.stack([
+            derive_rng(seed, p).permutation(n)
+            for p in range(start, min(start + chunk, n_perm))
         ])
+        rows.append(plan.shuffle_rho(data, ind_a[idx], ind_b[idx], observed))
+    stack = np.vstack(rows)
     alpha = 1.0 - level
     lo, hi = np.quantile(stack.ravel(), [alpha / 2.0, 1.0 - alpha / 2.0])
     col_lo = np.quantile(stack, alpha / 2.0, axis=0)

@@ -13,11 +13,16 @@ with |S| the area of the sampling rectangle and nu the point intensity
 to pairs inside the kernel support; weight contributions are summed in
 ascending order, so results are independent of point storage order and
 bit-identical to a brute-force double loop that sums the same way.
+
+Every estimate runs over one value-free :class:`KernelPlan`; values
+enter only as indicator vectors with a leading batch axis, so the same
+plan counts one field or a whole batch of shuffles of it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import chain
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -29,6 +34,7 @@ from .results import EseResult
 __all__ = [
     "KernelSpec",
     "KernelTau",
+    "KernelPlan",
     "kernel_p_hat",
     "kernel_tau_hat",
     "kernel_ese",
@@ -36,6 +42,8 @@ __all__ = [
 ]
 
 _SHAPES = ("box", "epanechnikov")
+# directions representing each distance of kernel_ese_by_distance
+_N_ANGLES = 8
 
 
 @dataclass(frozen=True)
@@ -148,9 +156,66 @@ def _p_hat(pf: PointField, set_a: ExtremeSet, a_m: float, m: float,
     return m * n_a / (nu_used * pf.area), n_a
 
 
-def _sorted_sum(values: np.ndarray) -> float:
-    # ascending order: storage-order invariant and reproducible
-    return float(np.sort(values).sum())
+class KernelPlan:
+    """Value-free geometry of a kernel estimate at vector ``lags`` or,
+    with ``by_distance``, at the rings of the distances ``lags``: per
+    lag, the ordered pairs (i, j), i != j, inside the kernel support and
+    their weights w_n, ascending, so masked sums add in ascending order.
+    """
+
+    def __init__(self, locations: np.ndarray, kernel: KernelSpec, lags, by_distance: bool = False):
+        self.by_distance = by_distance
+        self.lags = tuple(as_lag(h, d=2) for h in (_rings(lags) if by_distance else lags))
+        if not self.lags:
+            raise ValueError("no lags to estimate: give at least one lag or distance")
+        n = len(locations)
+        tree = cKDTree(locations)
+        lam = kernel.bandwidth
+        self._pairs = []
+        for lag in self.lags:
+            h_vec = np.asarray(lag.offset, dtype=float)
+            # slightly inflated query; membership is then decided from the
+            # sign-symmetric difference (s_i - s_j) + h, whose negation is
+            # exact, so tau(h) == tau(-h) holds bit-for-bit when A == B
+            neighbor_lists = tree.query_ball_point(
+                locations + h_vec, r=kernel.support_radius * (1.0 + 1e-9)
+            )
+            counts = np.fromiter(
+                (len(js) for js in neighbor_lists), dtype=np.int64, count=n
+            )
+            idx_i = np.repeat(np.arange(n), counts)
+            idx_j = np.fromiter(chain.from_iterable(neighbor_lists), np.int64, counts.sum())
+            scaled_diffs = ((locations[idx_i] - locations[idx_j]) + h_vec) / lam
+            nsq = np.sum(scaled_diffs * scaled_diffs, axis=1)
+            inside = (idx_i != idx_j) & (nsq <= 0.25)
+            weights = kernel.profile(nsq[inside]) / (lam * lam)
+            order = np.argsort(weights, kind="stable")
+            self._pairs.append((idx_i[inside][order], idx_j[inside][order], weights[order]))
+        self.pair_count = np.array([len(w) for _, _, w in self._pairs], dtype=np.int64)
+
+    def counts(self, ind_a: np.ndarray, ind_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hits, weight sums), each ``(batch, lags)``, for indicator
+        batches of shape ``(batch, n_points)``; A is read at i, B at j."""
+        hits = np.empty((len(ind_a), len(self._pairs)), dtype=np.int64)
+        sums = np.empty(hits.shape)
+        for k, (i, j, w) in enumerate(self._pairs):
+            both = ind_a[:, i] & ind_b[:, j]
+            hits[:, k] = np.count_nonzero(both, axis=1)
+            sums[:, k] = [w[row].sum() for row in both]
+        return hits, sums
+
+    def shuffle_rho(self, pf: PointField, ind_a, ind_b, observed: EseResult) -> np.ndarray:
+        """rho_hat rows of shuffles of ``pf``, given as its indicator
+        vectors gathered through each permutation, at the threshold, m
+        and intensity of ``observed``."""
+        m, nu_used = observed.m, observed.nu_used
+        p_hat, _ = _p_hat(pf, observed.set_a, observed.a_m, m, nu_used)
+        rho = _tau(self.counts(ind_a, ind_b)[1], m, nu_used, pf.area) / p_hat
+        return _ring_pool(rho, np.mean) if self.by_distance else rho
+
+
+def _tau(sums, m: float, nu_used: float, area: float):
+    return (m / (nu_used * nu_used * area)) * sums
 
 
 def kernel_tau_hat(
@@ -171,54 +236,21 @@ def kernel_tau_hat(
     """
     if pf.n_points < 2:
         raise EmptyField("kernel pair sums need at least 2 points")
-    lag_list = [as_lag(h, d=2) for h in lags]
+    plan = KernelPlan(pf.locations, kernel, lags)
     nu_used = _resolve_nu(pf, nu)
     a_m, m = resolve_threshold(pf.values, rule)
-    ind_a = set_a.indicator(pf.values, a_m)
-    ind_b = set_b.indicator(pf.values, a_m)
-    scale = m / (nu_used * nu_used * pf.area)
-    radius = kernel.support_radius
-
-    tree = cKDTree(pf.locations)
-    lam = kernel.bandwidth
-    tau = np.zeros(len(lag_list))
-    pairs = np.zeros(len(lag_list), dtype=np.int64)
-    hits = np.zeros(len(lag_list), dtype=np.int64)
-    for k, lag in enumerate(lag_list):
-        h_vec = np.asarray(lag.offset, dtype=float)
-        # slightly inflated query; membership is then decided from the
-        # sign-symmetric difference (s_i - s_j) + h, whose negation is
-        # exact, so tau(h) == tau(-h) holds bit-for-bit when A == B
-        neighbor_lists = tree.query_ball_point(
-            pf.locations + h_vec, r=radius * (1.0 + 1e-9)
-        )
-        counts = np.fromiter(
-            (len(js) for js in neighbor_lists), dtype=np.int64, count=pf.n_points
-        )
-        if counts.sum() == 0:
-            continue
-        idx_i = np.repeat(np.arange(pf.n_points), counts)
-        idx_j = np.concatenate([np.asarray(js, dtype=np.int64) for js in neighbor_lists])
-        distinct = idx_i != idx_j
-        idx_i, idx_j = idx_i[distinct], idx_j[distinct]
-        scaled_diffs = ((pf.locations[idx_i] - pf.locations[idx_j]) + h_vec) / lam
-        nsq = np.sum(scaled_diffs * scaled_diffs, axis=1)
-        inside = nsq <= 0.25
-        pairs[k] = int(np.count_nonzero(inside))
-        both = inside & ind_a[idx_i] & ind_b[idx_j]
-        hits[k] = int(np.count_nonzero(both))
-        if hits[k] == 0:
-            continue
-        tau[k] = scale * _sorted_sum(kernel.profile(nsq[both]) / (lam * lam))
+    hits, sums = plan.counts(
+        set_a.indicator(pf.values, a_m)[None], set_b.indicator(pf.values, a_m)[None]
+    )
     return KernelTau(
-        lags=tuple(lag_list),
-        tau=tau,
-        pair_count=pairs,
-        exceed_count=hits,
+        lags=plan.lags,
+        tau=_tau(sums[0], m, nu_used, pf.area),
+        pair_count=plan.pair_count,
+        exceed_count=hits[0],
         a_m=a_m,
         m=m,
         nu_used=nu_used,
-        degenerate=bool(pairs.sum() == 0),
+        degenerate=bool(plan.pair_count.sum() == 0),
     )
 
 
@@ -261,12 +293,22 @@ def kernel_ese(
     )
 
 
-def _ring(distance: float, n_angles: int) -> list[Lag]:
-    reps = []
-    for k in range(n_angles):
-        ang = 2.0 * math.pi * k / n_angles
-        reps.append(Lag.of(distance * math.cos(ang), distance * math.sin(ang)))
-    return reps
+def _rings(distances) -> list[Lag]:
+    """_N_ANGLES lags equally spaced on the circle of each distance (one
+    distance or a list, each positive and finite)."""
+    dists = [float(r) for r in np.atleast_1d(distances)]
+    if any(not (math.isfinite(r) and r > 0) for r in dists):
+        raise ValueError("distances must be positive and finite")
+    return [
+        Lag.of(r * math.cos(ang), r * math.sin(ang))
+        for r in dists
+        for ang in (2.0 * math.pi * k / _N_ANGLES for k in range(_N_ANGLES))
+    ]
+
+
+def _ring_pool(per_lag: np.ndarray, reduce) -> np.ndarray:
+    """Reduce the last (ring lag) axis of ``per_lag`` ring by ring."""
+    return reduce(per_lag.reshape(*per_lag.shape[:-1], -1, _N_ANGLES), axis=-1)
 
 
 def kernel_ese_by_distance(
@@ -277,45 +319,23 @@ def kernel_ese_by_distance(
     kernel: KernelSpec,
     distances,
     nu: float | None = None,
-    n_angles: int = 8,
 ) -> EseResult:
     """Isotropic kernel extremogram: rho averaged around each distance.
 
-    Each distance r is represented by n_angles lags equally spaced on
-    the circle of radius r; rho_hat(r) is the plain average of the
-    per-representative estimates (they share the denominator p_hat).
-    Counts are summed over representatives.
+    ``distances`` is one distance or a list.  Each distance r is
+    represented by 8 lags equally spaced on the circle of radius r;
+    rho_hat(r) is the plain average of the per-representative
+    estimates (they share the denominator p_hat).  Counts are summed
+    over representatives.
     """
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be >= 1, got {n_angles}")
-    dists = [float(r) for r in distances]
-    if any(not (math.isfinite(r) and r > 0) for r in dists):
-        raise ValueError("distances must be positive and finite")
-    all_lags: list[Lag] = []
-    for r in dists:
-        all_lags.extend(_ring(r, n_angles))
-    per_lag = kernel_ese(pf, set_a, set_b, rule, kernel, all_lags, nu)
-
-    rho, pairs, hits, reps = [], [], [], []
-    for g, r in enumerate(dists):
-        rows = slice(g * n_angles, (g + 1) * n_angles)
-        rho.append(float(np.mean(per_lag.rho_hat[rows])))
-        pairs.append(int(per_lag.pair_count[rows].sum()))
-        hits.append(int(per_lag.exceed_count[rows].sum()))
-        reps.append(Lag.of(r, 0.0))
-    return EseResult(
-        lags=tuple(reps),
-        distances=np.array(dists),
-        rho_hat=np.array(rho),
-        pair_count=np.array(pairs, dtype=np.int64),
-        exceed_count=np.array(hits, dtype=np.int64),
-        a_m=per_lag.a_m,
-        m=per_lag.m,
-        set_a=set_a,
-        set_b=set_b,
-        denom_rate=per_lag.denom_rate,
-        mode="kernel",
+    dists = np.atleast_1d(distances).astype(float)
+    per_lag = kernel_ese(pf, set_a, set_b, rule, kernel, _rings(dists), nu)
+    return replace(
+        per_lag,
+        lags=tuple(Lag.of(r, 0.0) for r in dists),
+        distances=dists,
+        rho_hat=_ring_pool(per_lag.rho_hat, np.mean),
+        pair_count=_ring_pool(per_lag.pair_count, np.sum),
+        exceed_count=_ring_pool(per_lag.exceed_count, np.sum),
         by_distance=True,
-        bandwidth_degenerate=per_lag.bandwidth_degenerate,
-        nu_used=per_lag.nu_used,
     )

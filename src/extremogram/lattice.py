@@ -76,6 +76,10 @@ class LatticePlan:
     def __init__(self, dims, lags, by_distance: bool = False):
         dims = tuple(dims)
         lag_list = list(lags)
+        if not lag_list:
+            raise ValueError(
+                "no lags to estimate: give at least one lag, or a max distance of at least 1"
+            )
         offsets = [_check_lag(dims, lag) for lag in lag_list]
         self._slices = [_lag_slices(dims, off) for off in offsets]
         lag_pairs = np.array(
@@ -121,6 +125,13 @@ class LatticePlan:
     def rho(self, hits: np.ndarray, denom_rate: float) -> np.ndarray:
         """rho_hat = [hits / n(h)] / denom_rate, elementwise over a hits batch."""
         return (hits / self.pair_count) / denom_rate
+
+    def shuffle_rho(self, field: LatticeField, ind_a, ind_b, observed: EseResult) -> np.ndarray:
+        """rho_hat rows of shuffles of ``field``, given as its flat indicators
+        gathered through each permutation, at the denominator of ``observed``."""
+        shape = (len(ind_a), *field.dims)
+        hits = self.hits(ind_a.reshape(shape), ind_b.reshape(shape))
+        return self.rho(hits, observed.denom_rate)
 
 
 def lattice_plan(dims, lags, by_distance: bool = False) -> LatticePlan:

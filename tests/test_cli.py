@@ -145,6 +145,26 @@ def test_bands_end_to_end(tmp_path, capsys):
     assert meta["band"]["n_perm"] == 120
 
 
+def test_no_lags_is_json_exit_1(tmp_path, capsys):
+    # before, estimate wrote an empty table with exit 0 and bands died with
+    # an IndexError traceback
+    lat, pts = str(tmp_path / "lat.csv"), str(tmp_path / "pts.csv")
+    run(capsys, "simulate", "--model", "frechet", "--dims", "30,30", "--seed", "1", "--out", lat)
+    run(capsys, "simulate", "--model", "point-field", "--region", "0,10,0,10",
+        "--count", "80", "--seed", "1", "--out", pts)
+    out = tmp_path / "o.csv"
+    for cmd in ("estimate", "bands"):
+        for src, flags in ((lat, ["--mode", "lattice", "--by-distance"]),
+                           (lat, ["--mode", "lattice"]),
+                           (pts, ["--mode", "kernel", "--bandwidth", "1"])):
+            extra = ["--permutations", "100", "--seed", "0"] if cmd == "bands" else []
+            code, _, err = run(capsys, cmd, "--input", src, *flags, "--threshold", "q=0.9",
+                               "--lags", "0.5", *extra, "--out", str(out))
+            assert code == 1 and not out.exists()
+            payload = json.loads(err)
+            assert payload["error"] == "ValueError" and "no lags" in payload["message"]
+
+
 def test_bands_rejects_too_few_permutations(tmp_path, capsys):
     src = str(tmp_path / "field.csv")
     run(capsys, "simulate", "--model", "frechet", "--dims", "10,10",

@@ -118,9 +118,14 @@ def _mma15():
     return sim_mma((15, 15), WeightSpec.indicator_ball(1.0), seed=3)
 
 
+def _points60():
+    return sim_point_field((0, 8, 0, 8), CountRule.fixed(60), FieldSource.frechet_iid(), seed=7)
+
+
 LAGS3 = [Lag.of(1, 0), Lag.of(0, 1), Lag.of(2, 0)]
 LAT_BD = EstimatorConfig(mode="lattice", by_distance=True)
 BOUNDED = ExtremeSet(1.0, 3.0)
+KBOX = EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1.5))
 
 BAND_CASES = {
     "vector-lags": (_mma15, RAY, RAY, Q90, LAT, LAGS3, 120),
@@ -132,10 +137,26 @@ BAND_CASES = {
     # 40x40 shuffles are counted in several chunks; 130 leaves a partial one
     "chunk-remainder": (lambda: sim_mma((40, 40), WeightSpec.indicator_ball(1.0), seed=6),
                         RAY, RAY, ThresholdRule.quantile(0.97), LAT_BD, 2.0, 130),
-    "kernel": (lambda: sim_point_field((0, 8, 0, 8), CountRule.fixed(60),
-                                       FieldSource.frechet_iid(), seed=7),
-               RAY, RAY, Q90, EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1.5)),
-               [Lag.of(1.0, 0.0), Lag.of(0.5, 0.5)], 100),
+    "kernel": (_points60, RAY, RAY, Q90, KBOX, [Lag.of(1.0, 0.0), Lag.of(0.5, 0.5)], 100),
+    "kernel-by-distance": (_points60, RAY, RAY, Q90,
+                           EstimatorConfig(mode="kernel", kernel=KernelSpec.epanechnikov(1.5),
+                                           by_distance=True),
+                           [1.0, 2.0], 100),
+    # continuous weights, so estimating a shuffle with A and B swapped changes the band
+    "kernel-bounded-a-known-nu": (_points60, BOUNDED, RAY, Q90,
+                                  EstimatorConfig(mode="kernel", nu=0.8,
+                                                  kernel=KernelSpec.epanechnikov(1.5)),
+                                  [Lag.of(1.0, 0.0), Lag.of(0.5, 0.5)], 100),
+    # no pair falls in a 1e-6 support: every shuffle estimates 0
+    "kernel-degenerate": (_points60, RAY, RAY, Q90,
+                          EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1e-6)),
+                          [Lag.of(1.0, 0.0)], 100),
+    # 1600 points are shuffled in several chunks; 130 leaves a partial one
+    "kernel-chunk-remainder": (
+        lambda: sim_point_field((0, 40, 0, 40), CountRule.fixed(1600),
+                                FieldSource.frechet_iid(), seed=8),
+        RAY, RAY, Q90, EstimatorConfig(mode="kernel", kernel=KernelSpec.box(0.8)),
+        [Lag.of(1.0, 0.0), Lag.of(0.0, 2.0)], 130),
 }
 
 
@@ -152,18 +173,23 @@ def test_bands_equal_per_permutation_reference(case):
     # take pooled and per-lag quantiles of the stacked estimates
     make, set_a, set_b, rule, config, lags, n_perm = BAND_CASES[case]
     data = make()
-    if case == "chunk-remainder":
-        chunk = _CHUNK_BYTES // (8 * data.size)
+    if case.endswith("chunk-remainder"):
+        chunk = _CHUNK_BYTES // (8 * data.values.size)
         assert 1 < chunk < n_perm and n_perm % chunk != 0
     band = permutation_bands(data, set_a, set_b, rule, config, lags, n_perm=n_perm, seed=7)
+    if case == "kernel-degenerate":
+        assert band.lo == band.hi == 0.0 and band.observed.bandwidth_degenerate
     stack = np.vstack([
         run_estimator(_shuffled(data, derive_rng(7, p)), set_a, set_b, rule,
                       config, lags).rho_hat
         for p in range(n_perm)
     ])
-    lo, hi = np.quantile(stack.ravel(), [0.025, 0.975])
-    col_lo = np.quantile(stack, 0.025, axis=0)
-    col_hi = np.quantile(stack, 0.975, axis=0)
+    # the levels of the default level=0.95; alpha / 2 is 0.025000000000000022,
+    # which interpolates differently from 0.025 between distinct neighbours
+    alpha = 1.0 - 0.95
+    lo, hi = np.quantile(stack.ravel(), [alpha / 2.0, 1.0 - alpha / 2.0])
+    col_lo = np.quantile(stack, alpha / 2.0, axis=0)
+    col_hi = np.quantile(stack, 1.0 - alpha / 2.0, axis=0)
     assert band.lo == lo and band.hi == hi
     assert band.per_lag == tuple(zip(col_lo.tolist(), col_hi.tolist()))
     assert np.array_equal(band.observed.rho_hat,
@@ -203,6 +229,16 @@ def test_bands_degenerate_observed_propagates():
     with pytest.raises(DegenerateDenominator):
         permutation_bands(f, ExtremeSet.ray(1e9), RAY, Q90, LAT,
                           [Lag.of(1, 0)], n_perm=100)
+
+
+def test_bands_with_no_lags_are_a_value_error():
+    # before, a max distance below 1 died in np.quantile with an IndexError
+    kbd = EstimatorConfig(mode="kernel", kernel=KBOX.kernel, by_distance=True)
+    cases = [(_mma15(), LAT_BD, 0.5), (_mma15(), LAT, []), (_points60(), KBOX, []),
+             (_points60(), kbd, [])]
+    for data, config, lags in cases:
+        with pytest.raises(ValueError, match="no lags"):
+            permutation_bands(data, RAY, RAY, Q90, config, lags, n_perm=100)
 
 
 def test_mc_study_aggregates_and_oracles():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremogram import (
     CountRule,
@@ -77,6 +79,62 @@ def test_point_field_roundtrip(tmp_path):
     assert np.array_equal(obj.locations, pf.locations)
     assert np.array_equal(obj.values, pf.values)
     assert obj.intensity_hint == pf.intensity_hint
+
+
+def _lattice_file(path, rows):
+    path.write_text('# {"dims": [2, 2], "kind": "lattice"}\nx,y,value\n' + "\n".join(rows) + "\n")
+
+
+def test_lattice_rows_are_placed_by_their_index_columns(tmp_path):
+    p = tmp_path / "f.csv"
+    _lattice_file(p, ["1,1,4", "0,0,1", "0,1,2", "1,0,3"])
+    assert read_field(p).grid.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("rows, needle", [
+    (["0,0,1", "0,1.5,2", "1,0,3", "1,1,4"], "bad index or value"),
+    (["0,0,1", "0,x,2", "1,0,3", "1,1,4"], "bad index or value"),
+    (["0,0,1", "0,99999999999999999999,2", "1,0,3", "1,1,4"], "bad index or value"),
+    (["0,0,1", "0,0,2", "7,9,3", "1,1,4"], "line 5: cell (7, 9) is outside"),
+    (["0,0,1", "0,-1,2", "1,0,3", "1,1,4"], "line 4: cell (0, -1) is outside"),
+    # (0,0) twice leaves (0,1) missing
+    (["0,0,1", "1,0,2", "0,0,3", "1,1,4"], "line 5: duplicate cell (0, 0)"),
+    (["0,0,1", "0,1,2", "1,0,3"], "expected 4 rows"),
+])
+def test_lattice_cells_must_be_integer_in_range_and_unique(tmp_path, rows, needle):
+    p = tmp_path / "f.csv"
+    _lattice_file(p, rows)
+    with pytest.raises(DataFormatError) as err:
+        read_field(p)
+    assert needle in str(err.value)
+
+
+_VALUE = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def any_field(draw):
+    """A random lattice field of 1-3 d, or a random point field."""
+    if draw(st.booleans()):
+        dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        return LatticeField(dims, draw(st.lists(_VALUE, min_size=math.prod(dims),
+                                                max_size=math.prod(dims))))
+    x0, y0 = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    w, h = draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6))
+    n = draw(st.integers(0, 12))
+    unit = st.floats(0.0, 1.0)
+    locs = [(x0 + w * draw(unit), y0 + h * draw(unit)) for _ in range(n)]
+    locs = [(min(x, x0 + w), min(y, y0 + h)) for x, y in locs]
+    hint = draw(st.one_of(st.none(), st.floats(1e-3, 1e3)))
+    return PointField(np.array(locs).reshape(n, 2), draw(st.lists(_VALUE, min_size=n, max_size=n)),
+                      (x0, x0 + w, y0, y0 + h), hint)
+
+
+@given(any_field())
+@settings(max_examples=60, deadline=None)
+def test_field_write_read_write_is_byte_identical_property(tmp_path_factory, field):
+    tmp = tmp_path_factory.mktemp("rt")
+    roundtrip_bytes(tmp, lambda p, o=field: write_field(p, o), read_field)
 
 
 def test_field_header_is_json_comment(tmp_path):

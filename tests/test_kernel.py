@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from extremogram import (
     CountRule,
     DegenerateDenominator,
+    DegenerateThreshold,
     EmptyField,
     ExtremeSet,
     FieldSource,
@@ -148,6 +151,41 @@ def test_tau_sign_symmetry_bitwise():
         assert fwd.pair_count[0] == rev.pair_count[0]
 
 
+@st.composite
+def kernel_cases(draw):
+    """A few random points in a small window, a kernel, a rule and lags."""
+    n = draw(st.integers(2, 25))
+    pf = scatter(n, draw(st.integers(0, 2**16)), side=draw(st.sampled_from([2.0, 4.0])))
+    shape = draw(st.sampled_from(["box", "epanechnikov"]))
+    kernel = KernelSpec(shape, draw(st.floats(0.2, 2.0)))
+    rule = draw(st.one_of(
+        st.floats(0.3, 0.9).map(ThresholdRule.quantile),
+        st.floats(1.0, 3.0).map(ThresholdRule.absolute),
+    ))
+    coord = st.floats(-2.0, 2.0)
+    lags = draw(st.lists(st.tuples(coord, coord).map(Lag), min_size=1, max_size=3))
+    return pf, kernel, rule, lags
+
+
+@given(kernel_cases())
+@settings(max_examples=60, deadline=None)
+def test_tau_equals_double_loop_property(case):
+    pf, kernel, rule, lags = case
+    sets = (RAY, ExtremeSet(1.0, 2.5))
+    try:
+        res = kernel_tau_hat(pf, *sets, rule, kernel, lags)
+    except DegenerateThreshold:
+        return
+    for k, lag in enumerate(lags):
+        tau, pairs, hits = brute_tau(pf, *sets, rule, kernel, lag)
+        assert (res.tau[k], res.pair_count[k], res.exceed_count[k]) == (tau, pairs, hits)
+    # with A == B the pair map (i, j) -> (j, i) takes lag h to -h
+    fwd = kernel_tau_hat(pf, RAY, RAY, rule, kernel, lags)
+    rev = kernel_tau_hat(pf, RAY, RAY, rule, kernel, [lag.negate() for lag in lags])
+    assert np.array_equal(fwd.tau, rev.tau)
+    assert np.array_equal(fwd.pair_count, rev.pair_count)
+
+
 def test_tau_relabeling_invariance_bitwise():
     pf = scatter(180, seed=5)
     rng = derive_rng(6)
@@ -240,7 +278,7 @@ def test_by_distance_averages_ring():
     pf = scatter(400, seed=12)
     rule = ThresholdRule.quantile(0.9)
     spec = KernelSpec.box(1.0)
-    res = kernel_ese_by_distance(pf, RAY, RAY, rule, spec, [1.0, 2.0], n_angles=8)
+    res = kernel_ese_by_distance(pf, RAY, RAY, rule, spec, [1.0, 2.0])
     assert res.by_distance
     assert list(res.distances) == [1.0, 2.0]
     assert [lag.offset for lag in res.lags] == [(1.0, 0.0), (2.0, 0.0)]
@@ -252,3 +290,14 @@ def test_by_distance_averages_ring():
     assert res.pair_count[0] == per.pair_count.sum()
     with pytest.raises(ValueError):
         kernel_ese_by_distance(pf, RAY, RAY, rule, spec, [-1.0])
+
+
+def test_no_lags_is_a_value_error():
+    # before, an empty lag list gave an empty result flagged bandwidth_degenerate
+    pf = scatter(50, seed=13)
+    rule = ThresholdRule.quantile(0.9)
+    spec = KernelSpec.box(1.0)
+    with pytest.raises(ValueError, match="no lags"):
+        kernel_ese(pf, RAY, RAY, rule, spec, [])
+    with pytest.raises(ValueError, match="no lags"):
+        kernel_ese_by_distance(pf, RAY, RAY, rule, spec, [])

@@ -179,6 +179,17 @@ def test_lag_out_of_range():
         lattice_ese(field, RAY, RAY, rule, [Lag.of(1, 0, 0)])
 
 
+def test_no_lags_is_a_value_error():
+    # an empty lag list, or a max distance below 1, leaves no row to estimate
+    field = random_field((6, 6), seed=14)
+    rule = ThresholdRule.quantile(0.8)
+    with pytest.raises(ValueError, match="no lags"):
+        lattice_ese(field, RAY, RAY, rule, [])
+    for max_dist in (0.5, 0.999):
+        with pytest.raises(ValueError, match="no lags"):
+            lattice_ese_by_distance(field, RAY, RAY, rule, max_dist)
+
+
 def test_degenerate_denominator_is_an_error():
     field = random_field((6, 6), seed=15)
     # nothing lands above 1000 * a_m
