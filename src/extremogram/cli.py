@@ -435,12 +435,6 @@ def _field_model(args):
     return PointProcessModel(region, rule, source)
 
 
-def _mc_estimator(args) -> EstimatorConfig:
-    if args.mode == "kernel" and args.model not in ("point-field",):
-        raise UsageError("kernel mode in mc/rate-check needs --model point-field")
-    return _estimator_config(args)
-
-
 def _print_or_write_mc(summary, out: str | None) -> None:
     if out:
         fileio.write_mc(out, summary)
@@ -466,7 +460,7 @@ def _print_or_write_mc(summary, out: str | None) -> None:
 
 def _cmd_mc(args) -> int:
     model = _field_model(args)
-    config = _mc_estimator(args)
+    config = _estimator_config(args)
     d = 2 if args.model == "point-field" else len(_parse_dims(args.dims))  # points are planar
     lags = _resolve_lags(_parse_lag_spec(args.lags), config, d)
     set_a, set_b = _parse_sets(args)
@@ -490,16 +484,12 @@ def _cmd_rate_check(args) -> int:
         ref_lag = Lag.of(*ref[1])
     else:
         ref_lag = Lag.of(ref[1], 0.0)
-    if args.model == "mma1":
-        weights = WeightSpec.indicator_ball(1.0)
-        make_model = lambda n: MmaModel((n, n), weights)  # noqa: E731
-    elif args.model == "mma":
-        weights = _parse_weights(args.weights)
-        make_model = lambda n: MmaModel((n, n), weights)  # noqa: E731
-    elif args.model == "frechet":
+    if args.model == "frechet":
         make_model = lambda n: FrechetModel((n, n))  # noqa: E731
     else:
-        raise UsageError("rate-check supports --model mma1|mma|frechet")
+        weights = (WeightSpec.indicator_ball(1.0) if args.model == "mma1"
+                   else _parse_weights(args.weights))
+        make_model = lambda n: MmaModel((n, n), weights)  # noqa: E731
     set_a, set_b = _parse_sets(args)
     rate = clt_rate_check(
         make_model, set_a, set_b, _parse_threshold(args.threshold),
@@ -510,11 +500,8 @@ def _cmd_rate_check(args) -> int:
         fileio.write_rate(args.out, rate)
         print(args.out)
     else:
-        sys.stdout.write("size,mean,variance\n")
-        for size, mean, var in zip(rate.sizes, rate.means, rate.variances):
-            sys.stdout.write(f"{size},{mean:.17g},{var:.17g}\n")
         slope = "" if rate.slope is None else f"{rate.slope:.17g}"
-        sys.stdout.write(f"# slope={slope}\n")
+        sys.stdout.write(fileio._rate_table(rate) + f"# slope={slope}\n")
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,7 @@ def read_field(path) -> LatticeField | PointField:
             raise DataFormatError(
                 f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(body)}"
             )
+        _check_index_tokens(path, lines, 2, d)
         # one split of the whole body, then each column at a stride; a
         # per-row parse loop doubles the read time of a 60x60 field
         tokens = ",".join(body).split(",")
@@ -183,6 +185,16 @@ def read_field(path) -> LatticeField | PointField:
             None if hint is None else float(hint),
         )
     raise DataFormatError(f"{path}: unknown field kind {kind!r}")
+
+
+def _check_index_tokens(path, lines, n_header: int, n_index: int) -> None:
+    # [0-9-] only: int() would also take spaces, '+', '_' and non-ASCII digits
+    text = "\n".join(lines)
+    start = sum(map(len, lines[:n_header])) + n_header - 1
+    bad = re.compile(r"\n(?!(?:[0-9-]+,){%d})" % n_index).search(text, start)
+    if bad is not None:
+        line = text.count("\n", 0, bad.start()) + 2
+        raise DataFormatError(f"{path}: line {line}: bad index or value (not ASCII digits)")
 
 
 def _place(path, dims, idx: np.ndarray, values) -> np.ndarray:
@@ -262,18 +274,10 @@ def _ese_meta(result: EseResult, band: BandResult | None, extra_meta) -> dict:
     return meta
 
 
-def _lag_xy(result: EseResult) -> list[tuple[float, float]]:
-    out = []
-    for lag in result.lags:
-        if lag.d == 1:
-            out.append((lag.offset[0], 0.0))
-        elif lag.d == 2:
-            out.append((lag.offset[0], lag.offset[1]))
-        else:
-            raise DataFormatError(
-                "the lag_x,lag_y column contract cannot represent 3-d lags"
-            )
-    return out
+def _lag_xy(lags) -> list[tuple[float, float]]:
+    if any(lag.d > 2 for lag in lags):
+        raise DataFormatError("the lag_x,lag_y column contract cannot represent 3-d lags")
+    return [(lag.offset[0], lag.offset[1] if lag.d == 2 else 0.0) for lag in lags]
 
 
 def write_ese(path, result: EseResult, band: BandResult | None = None, extra_meta: dict | None = None) -> None:
@@ -287,7 +291,7 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
     bhi = _fmt(band.hi) if band is not None else ""
     lines = [",".join(ESE_COLUMNS)]
     for (lx, ly), dist, rho, pc, ec in zip(
-        _lag_xy(result),
+        _lag_xy(result.lags),
         result.distances,
         result.rho_hat,
         result.pair_count,
@@ -395,6 +399,7 @@ def read_space_time(path) -> SpaceTimeGrid:
         entries.append((ln, t, x, y, v))
     if not entries:
         raise DataFormatError(f"{path}: no data rows")
+    _check_index_tokens(path, lines, 1, 3)
     n_t = max(e[1] for e in entries) + 1
     n_x = max(e[2] for e in entries) + 1
     n_y = max(e[3] for e in entries) + 1
@@ -421,8 +426,7 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     header = ["lag_x", "lag_y", "distance", "mean", "variance", *q_names,
               "oracle_limit", "oracle_pa"]
     lines = [",".join(header)]
-    for i, lag in enumerate(summary.lags):
-        lx, ly = (lag.offset[0], lag.offset[1]) if lag.d == 2 else (lag.offset[0], 0.0)
+    for i, (lx, ly) in enumerate(_lag_xy(summary.lags)):
         cells = [
             _fmt(lx), _fmt(ly), _fmt(summary.distances[i]),
             _fmt(summary.mean[i]), _fmt(summary.variance[i]),
@@ -448,12 +452,16 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
         fh.write("\n")
 
 
+def _rate_table(rate: RateCheck) -> str:
+    """The per-size ``size,mean,variance`` table, shared with the CLI's stdout."""
+    rows = [f"{size},{_fmt(mean)},{_fmt(var)}"
+            for size, mean, var in zip(rate.sizes, rate.means, rate.variances)]
+    return "\n".join(["size,mean,variance", *rows]) + "\n"
+
+
 def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
     """Write the per-size variance table; the slope goes in the sidecar."""
     side = _distinct_sidecar(path)
-    lines = ["size,mean,variance"]
-    for size, mean, var in zip(rate.sizes, rate.means, rate.variances):
-        lines.append(f"{size},{_fmt(mean)},{_fmt(var)}")
     meta = {
         "slope": rate.slope,
         "d": rate.d,
@@ -463,7 +471,7 @@ def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
     if extra_meta:
         meta.update(extra_meta)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_rate_table(rate))
     with open(side, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -3,12 +3,12 @@
 The permutation bands answer "is there any spatial dependence among
 these values at all": values are shuffled uniformly over the fixed
 locations, each shuffle is estimated, and the pooled quantiles of the
-shuffled estimates form a flat null envelope.  On a lattice every
-shuffle is counted over one geometry plan from the observed indicators;
-kernel bands rerun the estimator per shuffle. The Monte Carlo
-harness repeats simulate->estimate with derived per-replicate seeds and
-aggregates, attaching closed-form limit and finite-m reference values
-when the model has them.
+shuffled estimates form a flat null envelope.  Every shuffle is
+counted over one geometry plan from the observed indicators.  The
+Monte Carlo harness and the rate check share one replicate loop that
+repeats simulate->estimate with derived per-replicate seeds and
+aggregates; the harness attaches closed-form limit and finite-m
+reference values when the model has them.
 
 Both are plain sequential loops over independent tasks; every task
 draws its randomness from a stream derived from (seed, task index), so
@@ -17,11 +17,20 @@ a task's result does not depend on which tasks ran before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ExtremogramError, TooFewPermutations
+from .errors import (
+    DegenerateDenominator,
+    DegenerateThreshold,
+    DomainError,
+    EmptyField,
+    EmptyInput,
+    ExtremogramError,
+    FactorizationFailure,
+    TooFewPermutations,
+)
 from .fields import (
     ExtremeSet,
     Lag,
@@ -362,7 +371,7 @@ def _describe(model) -> str:
 
 
 def _attach_oracles(model, lags, set_a, set_b, mean_m):
-    if set_a != _RAY or set_b != _RAY:
+    if set_a != _RAY or set_b != _RAY or not lags:
         return None, None
     get_limit = getattr(model, "oracle_limit", None)
     get_pa = getattr(model, "oracle_pa", None)
@@ -377,6 +386,52 @@ def _attach_oracles(model, lags, set_a, set_b, mean_m):
     return limit, pa
 
 
+# Errors that depend on a replicate's draw: that replicate is dropped.
+# Any other error is one of configuration, which every replicate hits.
+_DRAW_ERRORS = (
+    DegenerateThreshold,
+    DegenerateDenominator,
+    FactorizationFailure,
+    EmptyField,
+    EmptyInput,
+)
+
+
+def _replicates(model, set_a, set_b, rule, config, lags, n_reps, seed, key):
+    """Simulate -> estimate replicate r on the seed derived from (seed, *key, r).
+
+    Returns the summary over the replicates that did not fail, without
+    oracles, and the draw errors of those that did, in replicate order.
+    """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    kept, failures = [], []
+    for r in range(n_reps):
+        try:
+            data = model.simulate(derive_seed(seed, *key, r))
+            kept.append(run_estimator(data, set_a, set_b, rule, config, lags))
+        except _DRAW_ERRORS as exc:
+            failures.append(exc.with_traceback(None))  # its frames would pin the draw
+    common = dict(n_reps=n_reps, n_used=len(kept), n_failed=len(failures),
+                  model=_describe(model), estimator=config.label())
+    if not kept:
+        empty = np.empty(0)
+        return McSummary(lags=(), distances=empty, mean=empty, variance=empty,
+                         quantiles={q: empty for q in MC_QUANTILES},
+                         mean_m=math.nan, **common), failures
+    stack = np.vstack([res.rho_hat for res in kept])
+    q_rows = np.quantile(stack, np.array(MC_QUANTILES) / 100.0, axis=0)
+    return McSummary(
+        lags=kept[0].lags,
+        distances=kept[0].distances,
+        mean=stack.mean(axis=0),
+        variance=stack.var(axis=0, ddof=1) if len(kept) > 1 else np.zeros(stack.shape[1]),
+        quantiles=dict(zip(MC_QUANTILES, q_rows)),
+        mean_m=float(np.mean([res.m for res in kept])),
+        **common,
+    ), failures
+
+
 def mc_study(
     model,
     set_a: ExtremeSet,
@@ -389,60 +444,15 @@ def mc_study(
 ) -> McSummary:
     """Repeat simulate -> estimate and aggregate the estimates per row.
 
-    Replicate r simulates with the seed derived from (seed, r).
-    Replicates whose simulation or estimation raises a package error
-    are excluded and counted in ``n_failed``; aggregation runs over
-    the rest (all-NaN aggregates and empty rows when nothing
-    succeeded).
+    Replicate r simulates with the seed derived from (seed, r).  A
+    replicate whose draw degenerates (no usable tail, a failed
+    factorization, too few points) is excluded and counted in
+    ``n_failed``; aggregation runs over the rest (all-NaN aggregates
+    and empty rows when nothing succeeded).  Other errors are raised.
     """
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-
-    def one(r: int):
-        try:
-            data = model.simulate(derive_seed(seed, r))
-            res = run_estimator(data, set_a, set_b, rule, config, lags)
-            return res.lags, res.distances, res.rho_hat, res.m
-        except ExtremogramError:
-            return None
-
-    kept = [r for r in map(one, range(n_reps)) if r is not None]
-    n_used = len(kept)
-    if n_used == 0:
-        return McSummary(
-            lags=(),
-            distances=np.empty(0),
-            mean=np.empty(0),
-            variance=np.empty(0),
-            quantiles={q: np.empty(0) for q in MC_QUANTILES},
-            n_reps=n_reps,
-            n_used=0,
-            n_failed=n_reps,
-            model=_describe(model),
-            estimator=config.label(),
-            mean_m=math.nan,
-        )
-    row_lags, distances = kept[0][0], kept[0][1]
-    stack = np.vstack([r[2] for r in kept])
-    mean_m = float(np.mean([r[3] for r in kept]))
-    q_levels = np.array(MC_QUANTILES) / 100.0
-    q_rows = np.quantile(stack, q_levels, axis=0)
-    limit, pa = _attach_oracles(model, row_lags, set_a, set_b, mean_m)
-    return McSummary(
-        lags=row_lags,
-        distances=distances,
-        mean=stack.mean(axis=0),
-        variance=stack.var(axis=0, ddof=1) if n_used > 1 else np.zeros(stack.shape[1]),
-        quantiles={q: q_rows[i] for i, q in enumerate(MC_QUANTILES)},
-        n_reps=n_reps,
-        n_used=n_used,
-        n_failed=n_reps - n_used,
-        model=_describe(model),
-        estimator=config.label(),
-        mean_m=mean_m,
-        oracle_limit=limit,
-        oracle_pa=pa,
-    )
+    summary, _ = _replicates(model, set_a, set_b, rule, config, lags, n_reps, seed, ())
+    limit, pa = _attach_oracles(model, summary.lags, set_a, set_b, summary.mean_m)
+    return replace(summary, oracle_limit=limit, oracle_pa=pa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,34 +493,29 @@ def clt_rate_check(
     """
     if rule.kind != "quantile":
         raise DomainError("rate check requires a quantile threshold rule (fixed m)")
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     size_list = [int(n) for n in sizes]
     if not size_list:
         raise ValueError("need at least one size")
     lag = as_lag(ref_lag)
-    variances, means = [], []
+    stats = []
     for size in size_list:
-        model = make_model(size)
-        vals = []
-        for r in range(n_reps):
-            data = model.simulate(derive_seed(seed, size, r))
-            vals.append(run_estimator(data, set_a, set_b, rule, config, [lag]).rho_hat[0])
-        vals = np.array(vals)
-        d_seen = getattr(data, "d", 2)
-        variances.append(vals.var(ddof=1) if n_reps > 1 else 0.0)
-        means.append(vals.mean())
-    variances = np.array(variances)
+        summary, failures = _replicates(
+            make_model(size), set_a, set_b, rule, config, [lag], n_reps, seed, (size,)
+        )
+        if failures:
+            raise failures[0]
+        stats.append((summary.mean[0], summary.variance[0]))
+    means, variances = np.array(stats).T
     slope = None
     if len(size_list) >= 2 and np.all(variances > 0):
-        x = np.log(np.array(size_list, dtype=float) ** d_seen)
+        x = np.log(np.array(size_list, dtype=float) ** lag.d)
         slope = float(np.polyfit(x, np.log(variances), 1)[0])
     return RateCheck(
         sizes=tuple(size_list),
         variances=variances,
-        means=np.array(means),
+        means=means,
         n_reps=n_reps,
         ref_lag=lag,
-        d=d_seen,
+        d=lag.d,
         slope=slope,
     )

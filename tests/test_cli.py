@@ -213,16 +213,34 @@ def test_mc_point_field_ignores_dims(capsys):
     assert lines[0].startswith("distance,mean,variance,") and len(lines) == 2
 
 
-def test_rate_check_stdout(capsys):
-    code, out, _ = run(capsys, "rate-check", "--model", "frechet",
-                       "--sizes", "10,20", "--reps", "40", "--seed", "0",
-                       "--threshold", "q=0.9")
+def test_rate_check_stdout(tmp_path, capsys):
+    argv = ["rate-check", "--model", "frechet", "--sizes", "10,20", "--reps", "40",
+            "--seed", "0", "--threshold", "q=0.9"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "size,mean,variance"
     assert lines[-1].startswith("# slope=")
     slope = float(lines[-1].split("=")[1])
     assert -2.0 < slope < -0.3
+    table = tmp_path / "rate.csv"
+    assert run(capsys, *argv, "--out", str(table))[0] == 0
+    assert lines[:-1] == table.read_text().splitlines()
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--model", "mma1", "--dims", "5,5", "--lags", "9"], "LagOutOfRange"),
+    (["--model", "point-field", "--count", "40", "--mode", "lattice"], "DomainError"),
+    (["--model", "mma1", "--dims", "8,8", "--mode", "kernel", "--bandwidth", "1"],
+     "DomainError"),
+])
+def test_mc_configuration_error_is_json_exit_1(capsys, flags, error):
+    # every replicate would raise it, so it is reported, not counted as failures
+    code, out, err = run(capsys, "mc", *flags, "--reps", "2", "--seed", "0",
+                         "--threshold", "q=0.9")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
 def test_rate_check_rejects_absolute_threshold(capsys):

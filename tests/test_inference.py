@@ -14,6 +14,7 @@ from extremogram import (
     FrechetModel,
     KernelSpec,
     Lag,
+    LagOutOfRange,
     LatticeField,
     MC_QUANTILES,
     MmaModel,
@@ -289,6 +290,13 @@ def test_mc_study_counts_failures():
         mc_study(ConstantModel(), RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=0)
 
 
+def test_mc_study_raises_configuration_errors():
+    # a lag beyond the 6x6 grid fails every replicate: it is not a draw failure
+    with pytest.raises(LagOutOfRange):
+        mc_study(FrechetModel((6, 6)), RAY, RAY, Q90, LAT, [Lag.of(9, 0)],
+                 n_reps=3, seed=0)
+
+
 def test_mc_study_iid_mean_near_pa_level():
     # iid field: rho at any nonzero lag estimates 1/m
     s = mc_study(FrechetModel((25, 25)), RAY, RAY, Q90, LAT,
@@ -369,6 +377,12 @@ def test_rate_check_equals_per_replicate_reference():
     assert np.array_equal(rc.means, np.array([v.mean() for v in rows]))
     x = np.log(np.array([10.0, 20.0]) ** 2)
     assert rc.slope == float(np.polyfit(x, np.log(variances), 1)[0])
+
+
+def test_rate_check_raises_a_draw_failure():
+    with pytest.raises(DegenerateDenominator):
+        clt_rate_check(lambda n: ConstantModel(), RAY, RAY, Q90, LAT,
+                       (1, 0), (6, 8), n_reps=3)
 
 
 def test_rate_check_rejects_zero_replicates():

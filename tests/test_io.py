@@ -100,6 +100,9 @@ def test_lattice_rows_are_placed_by_their_index_columns(tmp_path):
     # (0,0) twice leaves (0,1) missing
     (["0,0,1", "1,0,2", "0,0,3", "1,1,4"], "line 5: duplicate cell (0, 0)"),
     (["0,0,1", "0,1,2", "1,0,3"], "expected 4 rows"),
+    # int() would read these as 1; only an optional '-' and ASCII digits count
+    (["0,0,1", "0, 1,2", "1,0,3", "1,1,4"], "bad index or value"),
+    (["0,0,1", "0,0_1,2", "1,0,3", "1,1,4"], "bad index or value"),
 ])
 def test_lattice_cells_must_be_integer_in_range_and_unique(tmp_path, rows, needle):
     p = tmp_path / "f.csv"
@@ -219,6 +222,15 @@ def test_ese_rejects_3d_lags(tmp_path):
         write_ese(tmp_path / "threed.csv", res)
 
 
+def test_mc_writer_rejects_3d_lags_before_writing(tmp_path):
+    s = mc_study(FrechetModel((4, 4, 4)), RAY, RAY, Q90,
+                 EstimatorConfig(mode="lattice"), [Lag.of(1, 0, 0)], n_reps=2, seed=0)
+    p = tmp_path / "mc3.csv"
+    with pytest.raises(DataFormatError, match="3-d lags"):
+        write_mc(p, s)
+    assert not p.exists() and not (tmp_path / "mc3.json").exists()
+
+
 def test_space_time_roundtrip(tmp_path):
     rng = derive_rng(9)
     grid = SpaceTimeGrid(rng.gamma(2.0, 1.0, size=(4, 3, 5)),
@@ -259,6 +271,12 @@ def test_space_time_header_and_errors(tmp_path):
     bad[header_at + 2] = "0,0,x,1.0"
     p.write_text("\n".join(bad) + "\n")
     with pytest.raises(DataFormatError, match=f"line {header_at + 3}"):
+        read_space_time(p)
+
+    # an index int() would accept ("1_0" as 10) is malformed too
+    bad[header_at + 2] = "0,0,0_1,1.0"
+    p.write_text("\n".join(bad) + "\n")
+    with pytest.raises(DataFormatError, match=f"line {header_at + 3}: bad index"):
         read_space_time(p)
 
 
