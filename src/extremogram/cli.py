@@ -399,8 +399,7 @@ def _cmd_oracle(args) -> int:
         lines.append(row)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        fileio._write_text(args.out, text)
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -464,6 +463,8 @@ def _cmd_mc(args) -> int:
     d = 2 if args.model == "point-field" else len(_parse_dims(args.dims))  # points are planar
     lags = _resolve_lags(_parse_lag_spec(args.lags), config, d)
     set_a, set_b = _parse_sets(args)
+    if args.out:
+        fileio._check_planar(d)  # before the study, not after it
     summary = mc_study(
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,
         n_reps=args.reps, seed=args.seed,
@@ -531,9 +532,8 @@ def _cmd_ingest(args) -> int:
 # parser assembly
 
 
-def _add_estimator_flags(p: _Parser, with_input: bool = True) -> None:
-    if with_input:
-        p.add_argument("--input", required=True, help="field file from simulate/ingest")
+def _add_estimator_flags(p: _Parser) -> None:
+    p.add_argument("--input", required=True, help="field file from simulate/ingest")
     p.add_argument("--mode", choices=("lattice", "kernel"), required=True)
     p.add_argument("--set-a", default="1,inf", help="extreme set as 'lower,upper'")
     p.add_argument("--set-b", default=None, help="second set; defaults to --set-a")

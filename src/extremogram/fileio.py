@@ -10,15 +10,19 @@ JSON header comment.  Estimate files use the fixed column contract
 (band columns empty unless bands were computed) and are accompanied by
 a JSON sidecar with the threshold, denominator rate, and any band or
 run metadata.  Space-time cubes are long-format t,x,y,value with
-integer indices from zero; malformed rows fail hard with their line
-number.
+integer indices from zero.  Lattice and cube rows may come in any order,
+since each is placed by its index columns; every malformed row fails
+hard, named by its line.  Every write is atomic: the text goes to a
+temporary file in the same directory, which then replaces the target.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import re
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +65,31 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_text(path, text: str) -> None:
+    """Replace ``path`` with ``text`` whole: a crash leaves the old file or the new."""
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_with_sidecar(path, table: str, meta: dict) -> None:
+    # a .json table path is its own sidecar; refuse before writing either
+    side = sidecar_path(path)
+    if side == str(path):
+        raise ValueError(
+            f"{path}: output path collides with its JSON sidecar; use another extension"
+        )
+    side_text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    _write_text(path, table)
+    _write_text(side, side_text)
+
+
 def _header_line(meta: dict) -> str:
     return "# " + json.dumps(meta, sort_keys=True)
 
@@ -70,33 +99,16 @@ def sidecar_path(path: str) -> str:
     return base + ".json"
 
 
-def _distinct_sidecar(path) -> str:
-    # a .json table path is its own sidecar; refuse before writing either
-    side = sidecar_path(path)
-    if side == str(path):
-        raise ValueError(
-            f"{path}: output path collides with its JSON sidecar; use another extension"
-        )
-    return side
-
-
 # ---------------------------------------------------------------------------
 # field files
 
 
 def write_field(path, field: LatticeField | PointField) -> None:
     """Write a lattice or point field with a JSON geometry header."""
-    lines = []
     if isinstance(field, LatticeField):
         meta = {"kind": "lattice", "dims": list(field.dims)}
-        axes = _AXIS_NAMES[: field.d]
-        lines.append(_header_line(meta))
-        lines.append(",".join(axes) + ",value")
-        idx = np.stack(
-            np.meshgrid(*(np.arange(n) for n in field.dims), indexing="ij"), axis=-1
-        ).reshape(-1, field.d)
-        for row, v in zip(idx, field.values):
-            lines.append(",".join(str(int(i)) for i in row) + "," + _fmt(v))
+        columns = ",".join(_AXIS_NAMES[: field.d]) + ",value"
+        rows = _format_rows(field.d, [*np.indices(field.dims).reshape(field.d, -1), field.values])
     elif isinstance(field, PointField):
         hint = field.intensity_hint
         meta = {
@@ -104,14 +116,11 @@ def write_field(path, field: LatticeField | PointField) -> None:
             "region": [float(c) for c in field.region],
             "intensity_hint": None if hint is None else float(hint),
         }
-        lines.append(_header_line(meta))
-        lines.append("x,y,value")
-        for (px, py), v in zip(field.locations, field.values):
-            lines.append(f"{_fmt(px)},{_fmt(py)},{_fmt(v)}")
+        columns = "x,y,value"
+        rows = _format_rows(0, [*field.locations.T, field.values])
     else:
         raise DataFormatError(f"cannot serialize {type(field).__name__}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, f"{_header_line(meta)}\n{columns}\n{rows}")
 
 
 def _parse_header(line: str, path) -> dict:
@@ -138,67 +147,88 @@ def read_field(path) -> LatticeField | PointField:
         dims = tuple(int(n) for n in meta.get("dims", ()))
         if not 1 <= len(dims) <= 3:
             raise DataFormatError(f"{path}: line 1: bad dims {meta.get('dims')!r}")
-        d = len(dims)
-        body = lines[2:]
-        for ln, line in enumerate(body, start=3):
-            if line.count(",") != d:
-                raise DataFormatError(
-                    f"{path}: line {ln}: expected {d + 1} columns, got {line.count(',') + 1}"
-                )
-        if len(body) != math.prod(dims):
+        if len(lines) - 2 != math.prod(dims):
             raise DataFormatError(
-                f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(body)}"
+                f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(lines) - 2}"
             )
-        _check_index_tokens(path, lines, 2, d)
-        # one split of the whole body, then each column at a stride; a
-        # per-row parse loop doubles the read time of a 60x60 field
-        tokens = ",".join(body).split(",")
-        try:
-            values = [float(v) for v in tokens[d :: d + 1]]
-            idx = np.array([tokens[k :: d + 1] for k in range(d)], dtype=np.int64).T
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: bad index or value ({exc})") from exc
-        return _checked(path, LatticeField, dims, _place(path, dims, idx, values))
+        idx, values = _read_rows(path, lines, 2, len(dims), len(dims) + 1)
+        return _checked(path, LatticeField, dims, _place(path, dims, idx, values[:, 0], 3))
     if kind == "point":
         region = tuple(float(c) for c in meta.get("region", ()))
         if len(region) != 4:
             raise DataFormatError(f"{path}: line 1: bad region {meta.get('region')!r}")
         hint = meta.get("intensity_hint")
-        locs, values = [], []
-        for ln, line in enumerate(lines[2:], start=3):
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(
-                    f"{path}: line {ln}: expected 3 columns, got {len(parts)}"
-                )
-            try:
-                locs.append((float(parts[0]), float(parts[1])))
-                values.append(float(parts[2]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {ln}: bad number") from exc
+        _, cols = _read_rows(path, lines, 2, 0, 3)
         return _checked(
-            path,
-            PointField,
-            np.array(locs, dtype=float).reshape(len(locs), 2),
-            np.array(values),
-            region,
-            None if hint is None else float(hint),
+            path, PointField, cols[:, :2], cols[:, 2], region, None if hint is None else float(hint)
         )
     raise DataFormatError(f"{path}: unknown field kind {kind!r}")
 
 
-def _check_index_tokens(path, lines, n_header: int, n_index: int) -> None:
-    # [0-9-] only: int() would also take spaces, '+', '_' and non-ASCII digits
+# ---------------------------------------------------------------------------
+# indexed rows: integer index columns, then float value columns
+
+
+def _format_rows(n_index: int, columns) -> str:
+    """Newline-terminated CSV rows: ``n_index`` integer columns, then floats.
+
+    One format string covers the whole table; values print at 17
+    significant digits, which read back bit for bit.
+    """
+    row = ",".join(["{}"] * n_index + ["{:.17g}"] * (len(columns) - n_index)) + "\n"
+    cells = itertools.chain.from_iterable(zip(*(col.tolist() for col in columns)))
+    return (row * len(columns[0])).format(*cells)
+
+
+def _read_rows(path, lines, n_header: int, n_index: int, n_cols: int):
+    """Index columns ``(n, n_index)`` int64 and values ``(n, n_cols - n_index)``.
+
+    The rows are ``lines[n_header:]``.  A blank row, a wrong column
+    count or a token that is not a number raises, naming its line.
+    """
+    body = lines[n_header:]
+    dtype = np.dtype([("i", np.int64, (n_index,)), ("v", np.float64, (n_cols - n_index,))])
+    bad = _bad_index_row(lines, n_header, n_index)
+    if bad is None:
+        try:
+            table = _parse_rows(body, dtype)
+            return table["i"], table["v"]
+        except ValueError:
+            # loadtxt numbers rows its own way; bisect for the first bad row
+            bad, hi = 0, len(body)
+            while hi - bad > 1:
+                mid = (bad + hi) // 2
+                try:
+                    _parse_rows(body[bad:mid], dtype)
+                    bad = mid
+                except ValueError:
+                    hi = mid
+    got = body[bad].count(",") + 1
+    why = "bad index or value" if got == n_cols else f"expected {n_cols} columns, got {got}"
+    raise DataFormatError(f"{path}: line {n_header + bad + 1}: {why}")
+
+
+def _parse_rows(rows, dtype) -> np.ndarray:
+    # loadtxt skips empty rows (of split lines, only "") and warns on no
+    # rows; neither may pass.  comments=None: "1.5#junk" is not 1.5
+    if "" in rows:
+        raise ValueError("blank row")
+    if not rows:
+        return np.empty(0, dtype)
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _bad_index_row(lines, n_header: int, n_index: int) -> int | None:
+    # [0-9-] only: int() would also take spaces, '+', '_' and non-ASCII
+    # digits; the lookahead also fails on a blank row
     text = "\n".join(lines)
     start = sum(map(len, lines[:n_header])) + n_header - 1
     bad = re.compile(r"\n(?!(?:[0-9-]+,){%d})" % n_index).search(text, start)
-    if bad is not None:
-        line = text.count("\n", 0, bad.start()) + 2
-        raise DataFormatError(f"{path}: line {line}: bad index or value (not ASCII digits)")
+    return None if bad is None else text.count("\n", start, bad.start())
 
 
-def _place(path, dims, idx: np.ndarray, values) -> np.ndarray:
-    """Row-major lattice values with each row placed at its index cell.
+def _place(path, dims, idx: np.ndarray, values, first_line: int) -> np.ndarray:
+    """Values on a row-major grid of ``dims``, each row at its index cell.
 
     With one row per cell, a cell that is out of range or repeated is
     the only way a cell can be missing; each is named by its line.
@@ -207,18 +237,18 @@ def _place(path, dims, idx: np.ndarray, values) -> np.ndarray:
     if outside.any():
         row = int(np.argmax(outside))
         raise DataFormatError(
-            f"{path}: line {row + 3}: cell {tuple(idx[row].tolist())} is outside dims {dims}"
+            f"{path}: line {row + first_line}: cell {tuple(idx[row].tolist())} is outside dims {dims}"
         )
     flat = np.ravel_multi_index(tuple(idx.T), dims)
     _, first = np.unique(flat, return_index=True)
     if len(first) != len(flat):
         row = int(np.setdiff1d(np.arange(len(flat)), first)[0])
         raise DataFormatError(
-            f"{path}: line {row + 3}: duplicate cell {tuple(idx[row].tolist())}"
+            f"{path}: line {row + first_line}: duplicate cell {tuple(idx[row].tolist())}"
         )
     out = np.empty(len(flat))
     out[flat] = values
-    return out
+    return out.reshape(dims)
 
 
 def _checked(path, field_type, *args):
@@ -274,9 +304,13 @@ def _ese_meta(result: EseResult, band: BandResult | None, extra_meta) -> dict:
     return meta
 
 
-def _lag_xy(lags) -> list[tuple[float, float]]:
-    if any(lag.d > 2 for lag in lags):
+def _check_planar(d: int) -> None:
+    if d > 2:
         raise DataFormatError("the lag_x,lag_y column contract cannot represent 3-d lags")
+
+
+def _lag_xy(lags) -> list[tuple[float, float]]:
+    _check_planar(max((lag.d for lag in lags), default=1))
     return [(lag.offset[0], lag.offset[1] if lag.d == 2 else 0.0) for lag in lags]
 
 
@@ -286,7 +320,6 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
     The pooled band, when given, is repeated on every row (it is
     constant by construction); per-lag bands live in the sidecar.
     """
-    side = _distinct_sidecar(path)
     blo = _fmt(band.lo) if band is not None else ""
     bhi = _fmt(band.hi) if band is not None else ""
     lines = [",".join(ESE_COLUMNS)]
@@ -300,11 +333,7 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
         lines.append(
             f"{_fmt(lx)},{_fmt(ly)},{_fmt(dist)},{_fmt(rho)},{int(pc)},{int(ec)},{blo},{bhi}"
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(side, "w") as fh:
-        json.dump(_ese_meta(result, band, extra_meta), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_with_sidecar(path, "\n".join(lines) + "\n", _ese_meta(result, band, extra_meta))
 
 
 def read_ese(path) -> tuple[EseTable, dict]:
@@ -356,15 +385,8 @@ def read_ese(path) -> tuple[EseTable, dict]:
 
 def write_space_time(path, grid: SpaceTimeGrid) -> None:
     """Write a cube as long-format t,x,y,value rows in index order."""
-    nx, ny = grid.dims
-    lines = ["t,x,y,value"]
-    for t in range(grid.n_times):
-        for x in range(nx):
-            row = grid.values[t, x]
-            for y in range(ny):
-                lines.append(f"{t},{x},{y},{_fmt(row[y])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    idx = np.indices(grid.values.shape).reshape(3, -1)
+    _write_text(path, "t,x,y,value\n" + _format_rows(3, [*idx, grid.values.ravel()]))
 
 
 def read_space_time(path) -> SpaceTimeGrid:
@@ -378,41 +400,25 @@ def read_space_time(path) -> SpaceTimeGrid:
         lines = fh.read().splitlines()
     if not lines or lines[0].replace(" ", "") != "t,x,y,value":
         raise DataFormatError(f"{path}: line 1: expected header t,x,y,value")
-    entries = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if line == "":
-            raise DataFormatError(f"{path}: line {ln}: blank row")
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataFormatError(
-                f"{path}: line {ln}: expected 4 columns, got {len(parts)}"
-            )
-        try:
-            t, x, y = int(parts[0]), int(parts[1]), int(parts[2])
-            v = float(parts[3])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {ln}: bad number ({exc})") from exc
-        if t < 0 or x < 0 or y < 0:
-            raise DataFormatError(f"{path}: line {ln}: negative index")
-        if not (math.isfinite(v) and v >= 0):
-            raise DataFormatError(f"{path}: line {ln}: value must be finite and >= 0")
-        entries.append((ln, t, x, y, v))
-    if not entries:
+    if len(lines) == 1:
         raise DataFormatError(f"{path}: no data rows")
-    _check_index_tokens(path, lines, 1, 3)
-    n_t = max(e[1] for e in entries) + 1
-    n_x = max(e[2] for e in entries) + 1
-    n_y = max(e[3] for e in entries) + 1
-    if len(entries) != n_t * n_x * n_y:
+    idx, values = _read_rows(path, lines, 1, 3, 4)
+    values = values[:, 0]
+    negative = np.any(idx < 0, axis=1)
+    if negative.any():
+        raise DataFormatError(f"{path}: line {int(np.argmax(negative)) + 2}: negative index")
+    unusable = ~(np.isfinite(values) & (values >= 0))
+    if unusable.any():
         raise DataFormatError(
-            f"{path}: {len(entries)} rows cannot fill a {n_t}x{n_x}x{n_y} cube"
+            f"{path}: line {int(np.argmax(unusable)) + 2}: value must be finite and >= 0"
         )
-    values = np.full((n_t, n_x, n_y), -1.0)
-    for ln, t, x, y, v in entries:
-        if values[t, x, y] >= 0:
-            raise DataFormatError(f"{path}: line {ln}: duplicate cell ({t},{x},{y})")
-        values[t, x, y] = v
-    return SpaceTimeGrid(values)
+    # sized only once no index is negative and the rows can fill the cube
+    dims = tuple(int(n) + 1 for n in idx.max(axis=0))
+    if len(idx) != math.prod(dims):
+        raise DataFormatError(
+            f"{path}: {len(idx)} rows cannot fill a {dims[0]}x{dims[1]}x{dims[2]} cube"
+        )
+    return SpaceTimeGrid(_place(path, dims, idx, values, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +427,6 @@ def read_space_time(path) -> SpaceTimeGrid:
 
 def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     """Write Monte Carlo aggregates, one row per estimator row."""
-    side = _distinct_sidecar(path)
     q_names = [f"q{q:g}" for q in sorted(summary.quantiles)]
     header = ["lag_x", "lag_y", "distance", "mean", "variance", *q_names,
               "oracle_limit", "oracle_pa"]
@@ -445,11 +450,7 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(side, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
+    _write_with_sidecar(path, "\n".join(lines) + "\n", meta)
 
 
 def _rate_table(rate: RateCheck) -> str:
@@ -461,7 +462,6 @@ def _rate_table(rate: RateCheck) -> str:
 
 def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
     """Write the per-size variance table; the slope goes in the sidecar."""
-    side = _distinct_sidecar(path)
     meta = {
         "slope": rate.slope,
         "d": rate.d,
@@ -470,8 +470,4 @@ def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(path, "w") as fh:
-        fh.write(_rate_table(rate))
-    with open(side, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_with_sidecar(path, _rate_table(rate), meta)

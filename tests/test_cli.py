@@ -202,6 +202,21 @@ def test_mc_writes_file(tmp_path, capsys):
     assert open(out).readline().startswith("lag_x,lag_y,")
 
 
+def test_mc_refuses_3d_lags_for_out_before_simulating(tmp_path, capsys, monkeypatch):
+    calls = []
+    simulate = FrechetModel.simulate
+    monkeypatch.setattr(FrechetModel, "simulate",
+                        lambda self, seed: calls.append(seed) or simulate(self, seed))
+    out = tmp_path / "m3.csv"
+    code, stdout, err = run(capsys, "mc", "--model", "frechet", "--dims", "4,4,4",
+                            "--reps", "2", "--seed", "0", "--threshold", "q=0.9",
+                            "--out", str(out))
+    assert code == 2 and stdout == "" and calls == []
+    payload = json.loads(err)
+    assert payload["error"] == "DataFormatError" and "3-d lags" in payload["message"]
+    assert not out.exists() and not (tmp_path / "m3.json").exists()
+
+
 def test_mc_point_field_ignores_dims(capsys):
     # a point field is planar; --dims belongs to the lattice models
     code, out, err = run(capsys, "mc", "--model", "point-field", "--dims", "0",

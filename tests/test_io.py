@@ -1,6 +1,7 @@
 """CSV round trips, header contracts, malformed-input diagnostics."""
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -103,6 +104,10 @@ def test_lattice_rows_are_placed_by_their_index_columns(tmp_path):
     # int() would read these as 1; only an optional '-' and ASCII digits count
     (["0,0,1", "0, 1,2", "1,0,3", "1,1,4"], "bad index or value"),
     (["0,0,1", "0,0_1,2", "1,0,3", "1,1,4"], "bad index or value"),
+    # a bad value is named by its line; '#' starts no comment
+    (["0,0,1", "0,1,abc", "1,0,3", "1,1,4"], "line 4: bad index or value"),
+    (["0,0,1", "0,1,1.5#x", "1,0,3", "1,1,4"], "line 4: bad index or value"),
+    (["0,0,1", "", "1,0,3", "1,1,4"], "line 4: expected 3 columns, got 1"),
 ])
 def test_lattice_cells_must_be_integer_in_range_and_unique(tmp_path, rows, needle):
     p = tmp_path / "f.csv"
@@ -138,6 +143,31 @@ def any_field(draw):
 def test_field_write_read_write_is_byte_identical_property(tmp_path_factory, field):
     tmp = tmp_path_factory.mktemp("rt")
     roundtrip_bytes(tmp, lambda p, o=field: write_field(p, o), read_field)
+
+
+@st.composite
+def shuffled_cube(draw):
+    """A random cube of 1-4 cells per axis and an order for its rows."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    n = math.prod(shape)
+    values = np.array(draw(st.lists(_VALUE, min_size=n, max_size=n))).reshape(shape)
+    return SpaceTimeGrid(values), draw(st.permutations(range(n)))
+
+
+@given(shuffled_cube())
+@settings(max_examples=60, deadline=None)
+def test_cube_rows_in_any_order_read_back_bit_for_bit_property(tmp_path_factory, case):
+    grid, order = case
+    tmp = tmp_path_factory.mktemp("cube")
+    p1, p2 = tmp / "a.csv", tmp / "b.csv"
+    write_space_time(p1, grid)
+    header, *rows = p1.read_text().splitlines()
+    p2.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+    back = read_space_time(p2)
+    assert back.values.shape == grid.values.shape
+    assert back.values.tobytes() == grid.values.tobytes()
+    write_space_time(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_field_header_is_json_comment(tmp_path):
@@ -278,6 +308,69 @@ def test_space_time_header_and_errors(tmp_path):
     p.write_text("\n".join(bad) + "\n")
     with pytest.raises(DataFormatError, match=f"line {header_at + 3}: bad index"):
         read_space_time(p)
+
+
+@pytest.mark.parametrize("kind, row, needle", [
+    ("cube", "0,0,1,abc", "line 3: bad index or value"),
+    ("cube", "0,0,1,1.5#x", "line 3: bad index or value"),
+    ("cube", "", "line 3: expected 4 columns, got 1"),
+    ("point", "1,1,abc", "line 4: bad index or value"),
+    ("point", "1,1,1.5#x", "line 4: bad index or value"),
+    ("point", "", "line 4: expected 3 columns, got 1"),
+])
+def test_cube_and_point_rows_are_named_by_their_line(tmp_path, kind, row, needle):
+    p = tmp_path / "rows.csv"
+    if kind == "cube":
+        write_space_time(p, SpaceTimeGrid(np.ones((1, 2, 2))))
+        read = read_space_time
+    else:
+        write_field(p, sim_point_field((0, 4, 0, 4), CountRule.fixed(3),
+                                       FieldSource.frechet_iid(), seed=1))
+        read = read_field
+    lines = p.read_text().splitlines()
+    lines[2 if kind == "cube" else 3] = row  # the second data row
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=needle):
+        read(p)
+
+
+def test_cube_index_checks_come_before_allocation(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("t,x,y,value\n0,0,0,1.0\n9999999999,0,0,1.0\n")
+    with pytest.raises(DataFormatError, match="2 rows cannot fill a 10000000000x1x1 cube"):
+        read_space_time(p)
+    p.write_text("t,x,y,value\n0,0,0,1.0\n0,-9999999999,0,1.0\n")
+    with pytest.raises(DataFormatError, match="line 3: negative index"):
+        read_space_time(p)
+    p.write_text("t,x,y,value\n0,0,0,1.0\n0,0,99999999999999999999,1.0\n")
+    with pytest.raises(DataFormatError, match="line 3: bad index or value"):
+        read_space_time(p)
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: write_field(p, sim_frechet_iid((4, 4), seed=2)),
+    lambda p: write_space_time(p, SpaceTimeGrid(np.ones((2, 2, 2)))),
+    lambda p: write_ese(p, lattice_ese(sim_frechet_iid((8, 8), seed=2), RAY, RAY, Q90,
+                                       [Lag.of(1, 0)])),
+], ids=["field", "cube", "ese"])
+def test_a_failed_write_leaves_the_previous_files_and_no_temp_file(tmp_path, monkeypatch, write):
+    table, side = tmp_path / "out.csv", tmp_path / "out.json"
+    table.write_text("previous table\n")
+    side.write_text("previous sidecar\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(table)
+    assert table.read_text() == "previous table\n"
+    assert side.read_text() == "previous sidecar\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.json"]
+    monkeypatch.undo()
+    write(table)
+    assert table.read_text() != "previous table\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.json"]
 
 
 def test_mc_writer(tmp_path):
