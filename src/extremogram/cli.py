@@ -553,8 +553,10 @@ def _add_model_flags(p: _Parser, models) -> None:
     p.add_argument("--dims", default="40,40")
     p.add_argument("--weights", default="ball:1", help="ball:<radius> or geom:<phi>")
     p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--theta", type=float, default=0.5,
+                   help="variogram theta*|h|^alpha: theta (both --method choices)")
+    p.add_argument("--alpha", type=float, default=2.0,
+                   help="variogram theta*|h|^alpha: alpha (both --method choices)")
     p.add_argument("--method", choices=("spectral", "gaussian-max"), default="spectral")
     p.add_argument("--terms", type=int, default=1000,
                    help="spectral series length")

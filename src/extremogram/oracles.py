@@ -27,7 +27,6 @@ from .simulate import VariogramSpec, WeightSpec
 __all__ = [
     "LatticeCount",
     "PaValue",
-    "std_normal_cdf",
     "mma_extremogram",
     "mma_pa_extremogram",
     "mma1_extremogram",
@@ -40,11 +39,6 @@ __all__ = [
     "br_pa_tau",
     "br_pa_exceedance",
 ]
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF (double-precision erf implementation)."""
-    return ndtr(x)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ Three families, all with unit-Frechet margins (CDF exp(-1/x)):
   the integer lattice, via ``X_t = max_s w(s) * Z_{t-s}``,
 * Brown-Resnick max-stable fields with variogram ``delta(h) = theta*|h|^alpha``,
   through either a truncated spectral construction pinned at the origin or
-  a rescaled-Gaussian-maxima construction.
+  a rescaled maximum of N Gaussian fields with correlation
+  ``1 / (1 + delta(d_N*h))``, ``d_N = (1/log N)^(1/alpha)``.  Both read the
+  dependence from the variogram alone.
 
 Every simulator is a pure function of its inputs and an integer seed; see
 :mod:`extremogram.fields` for the seeding contract.
@@ -28,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .errors import FactorizationFailure
@@ -49,6 +52,8 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 _PHI_CLIP = 1.0 - 1e-16  # keep Phi(z) away from 1 before taking logs
+_JITTER = 1e-10  # added to a covariance diagonal before it is factored
+_TAIL_TOL = 1e-12  # geometric weights: tail mass left beyond the truncation
 
 # shell-count bounds #{s in Z^d : j <= |s| < j+1} <= c_d * (j+1)^(d-1),
 # used by the geometric truncation rule below
@@ -69,8 +74,7 @@ class WeightSpec:
         w(s) = 1 for |s| <= radius, else 0.
     ``geometric(phi)``
         w(s) = phi^|s|, truncated at the smallest radius whose geometric
-        tail bound drops below ``tail_tol`` (override with
-        ``truncation_radius``).
+        tail bound drops below 1e-12 (override with ``truncation_radius``).
     ``explicit(mapping)``
         arbitrary finite support, offsets -> positive weights.
     """
@@ -80,7 +84,6 @@ class WeightSpec:
     phi: float | None = None
     mapping: tuple[tuple[tuple[int, ...], float], ...] | None = None
     truncation_radius: float | None = None
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if self.kind == "indicator_ball":
@@ -108,15 +111,8 @@ class WeightSpec:
         return cls(kind="indicator_ball", radius=float(radius))
 
     @classmethod
-    def geometric(
-        cls, phi: float, truncation_radius: float | None = None, tail_tol: float = 1e-12
-    ) -> "WeightSpec":
-        return cls(
-            kind="geometric",
-            phi=float(phi),
-            truncation_radius=truncation_radius,
-            tail_tol=tail_tol,
-        )
+    def geometric(cls, phi: float, truncation_radius: float | None = None) -> "WeightSpec":
+        return cls(kind="geometric", phi=float(phi), truncation_radius=truncation_radius)
 
     @classmethod
     def explicit(cls, mapping: dict[tuple[int, ...], float]) -> "WeightSpec":
@@ -135,7 +131,7 @@ class WeightSpec:
             return max(math.hypot(*off) for off, _ in self.mapping)
         if self.truncation_radius is not None:
             return float(self.truncation_radius)
-        return float(_geometric_truncation_radius(self.phi, d, self.tail_tol))
+        return float(_geometric_truncation_radius(self.phi, d, _TAIL_TOL))
 
     def support(self, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
         """Offsets (K, d) and weights (K,) of the truncated support."""
@@ -226,31 +222,22 @@ class VariogramSpec:
         out = self.theta * np.power(dist, self.alpha)
         return float(out) if out.ndim == 0 else out
 
-    def label(self) -> str:
-        return f"{self.theta:g}*|h|^{self.alpha:g}"
-
-
-DEFAULT_VARIOGRAM = VariogramSpec(theta=0.5, alpha=2.0)
-
 
 @dataclass(frozen=True)
 class BrSimConfig:
-    """Brown-Resnick simulation method and its knobs.
+    """Brown-Resnick simulation method and its size; the variogram is separate.
 
     ``spectral(J)`` truncates the origin-pinned spectral sum after J terms
-    and reports a truncation diagnostic.  ``gaussian_max(N, c, a)`` rescales
-    the maximum of N Gaussian fields whose correlation at output lag h is
-    ``1 / (1 + c * (d_N*|h|)^a)`` with ``d_N = (1/log N)^(1/a)``, so that
-    ``log(N) * (1 - corr(h)) -> c*|h|^a`` and the target variogram is
-    approached from below as N grows.
+    and reports a truncation diagnostic.  ``gaussian_max(N)`` rescales the
+    maximum of N Gaussian fields whose correlation at output lag h is
+    ``1 / (1 + delta(d_N*|h|))`` with ``d_N = (1/log N)^(1/alpha)``, so that
+    ``log(N) * (1 - corr(h)) -> delta(h)`` (Husler & Reiss 1989) and the
+    target variogram is approached from below as N grows.
     """
 
     method: str
     n_terms: int = 1000
     n_gaussians: int = 1600
-    corr_c: float = 1.0
-    corr_a: float = 2.0
-    jitter: float = 1e-10
 
     def __post_init__(self):
         if self.method not in ("spectral", "gaussian_max"):
@@ -261,37 +248,14 @@ class BrSimConfig:
         else:
             if self.n_gaussians < 2:
                 raise ValueError("gaussian_max needs n_gaussians >= 2")
-            if not self.corr_c > 0:
-                raise ValueError("corr_c must be positive")
-            if not 0.0 < self.corr_a <= 2.0:
-                raise ValueError("corr_a must be in (0, 2]")
-        if not self.jitter >= 0:
-            raise ValueError("jitter must be nonnegative")
 
     @classmethod
-    def spectral(cls, n_terms: int = 1000, jitter: float = 1e-10) -> "BrSimConfig":
-        return cls(method="spectral", n_terms=int(n_terms), jitter=jitter)
+    def spectral(cls, n_terms: int = 1000) -> "BrSimConfig":
+        return cls(method="spectral", n_terms=int(n_terms))
 
     @classmethod
-    def gaussian_max(
-        cls,
-        n_gaussians: int = 1600,
-        corr_c: float = 1.0,
-        corr_a: float = 2.0,
-        jitter: float = 1e-10,
-    ) -> "BrSimConfig":
-        return cls(
-            method="gaussian_max",
-            n_gaussians=int(n_gaussians),
-            corr_c=corr_c,
-            corr_a=corr_a,
-            jitter=jitter,
-        )
-
-    def label(self) -> str:
-        if self.method == "spectral":
-            return f"spectral(J={self.n_terms})"
-        return f"gaussian_max(N={self.n_gaussians},c={self.corr_c:g},a={self.corr_a:g})"
+    def gaussian_max(cls, n_gaussians: int = 1600) -> "BrSimConfig":
+        return cls(method="gaussian_max", n_gaussians=int(n_gaussians))
 
 
 @dataclass(frozen=True)
@@ -364,19 +328,25 @@ def sim_mma(dims, weights: WeightSpec, seed: int) -> LatticeField:
     return LatticeField(dims, out.ravel())
 
 
-def _increment_cov(sites: np.ndarray, vario: VariogramSpec, jitter: float):
+def _pair_distances(sites: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every pair of sites, shape (n, n)."""
+    return cdist(sites, sites)
+
+
+def _increment_cov(sites: np.ndarray, vario: VariogramSpec):
     """Covariance of origin-pinned increments, plus delta(site) and origin mask."""
     norms = np.linalg.norm(sites, axis=1)
     d_site = vario.delta(norms)
-    diff = sites[:, None, :] - sites[None, :, :]
-    d_pair = vario.delta(np.linalg.norm(diff, axis=2))
-    cov = d_site[:, None] + d_site[None, :] - d_pair
-    cov[np.diag_indices_from(cov)] += jitter
+    cov = d_site[:, None] + d_site[None, :] - vario.delta(_pair_distances(sites))
     return cov, np.asarray(d_site, dtype=float).reshape(-1), norms == 0.0
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Dense factor F with F F^T ~= cov; Cholesky, then eigen fallback."""
+    """Dense factor F with F F^T ~= cov + jitter*I; Cholesky, then eigen fallback.
+
+    Adds the jitter to ``cov``'s diagonal in place.
+    """
+    cov[np.diag_indices_from(cov)] += _JITTER
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -393,25 +363,22 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 def _draw_increments(
     sites: np.ndarray,
     vario: VariogramSpec,
-    jitter: float,
     rng: np.random.Generator,
     n_draws: int,
 ):
-    cov, d_site, at_origin = _increment_cov(sites, vario, jitter)
+    cov, d_site, at_origin = _increment_cov(sites, vario)
     factor = _psd_factor(cov)
     draws = factor @ rng.standard_normal((len(sites), n_draws))
     draws[at_origin, :] = 0.0  # the pinned origin carries no randomness
     return draws, d_site
 
 
-def sim_gaussian_increments(
-    sites, vario: VariogramSpec, jitter: float = 1e-10, seed: int = 0
-) -> np.ndarray:
+def sim_gaussian_increments(sites, vario: VariogramSpec, seed: int = 0) -> np.ndarray:
     """One draw of the origin-pinned Gaussian increment field.
 
     cov(W_s1, W_s2) = delta(s1) + delta(s2) - delta(s1 - s2); any site at
     the exact origin gets W = 0 exactly.  The covariance is factored
-    densely with additive diagonal jitter; a PSD eigen-factorization is
+    densely with a 1e-10 diagonal jitter; a PSD eigen-factorization is
     used when Cholesky fails (e.g. alpha = 2, where the matrix is
     rank-deficient by construction).
 
@@ -424,7 +391,7 @@ def sim_gaussian_increments(
     if sites.ndim != 2:
         raise ValueError("sites must be an (N, d) array")
     rng = derive_rng(seed)
-    draws, _ = _draw_increments(sites, vario, jitter, rng, 1)
+    draws, _ = _draw_increments(sites, vario, rng, 1)
     return draws[:, 0]
 
 
@@ -456,7 +423,7 @@ def _sim_br_spectral(sites, vario, config, rng):
             stacklevel=_outside_stacklevel(),
         )
     gamma = np.cumsum(rng.exponential(size=J))
-    draws, d_site = _draw_increments(sites, vario, config.jitter, rng, J)
+    draws, d_site = _draw_increments(sites, vario, rng, J)
     np.subtract(draws, d_site[:, None], out=draws)
     terms = np.exp(draws, out=draws)
     terms /= gamma[None, :]
@@ -470,17 +437,9 @@ def _sim_br_spectral(sites, vario, config, rng):
 
 
 def _sim_br_gaussian_max(sites, vario, config, rng):
-    # Correlation at lag h is 1/(1 + c*(d_N*|h|)^a) with d_N = (1/log N)^(1/a).
-    # The variogram this converges to is c*|h|^a, so map (theta, alpha) onto
-    # (c, a) when the caller left the defaults in place.
     n_rep = config.n_gaussians
-    c, a = config.corr_c, config.corr_a
-    d_n = (1.0 / math.log(n_rep)) ** (1.0 / a)
-    diff = sites[:, None, :] - sites[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    corr = 1.0 / (1.0 + c * np.power(d_n * dist, a))
-    corr[np.diag_indices_from(corr)] += config.jitter
-    factor = _psd_factor(corr)
+    d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
+    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _pair_distances(sites))))
     gauss = factor @ rng.standard_normal((len(sites), n_rep))
     u = np.minimum(ndtr(gauss), _PHI_CLIP)
     with np.errstate(divide="ignore"):
@@ -504,9 +463,10 @@ def sim_brown_resnick(
     ``X_s = max_{j<=J} Gamma_j^{-1} exp(W_s^j - delta(s))`` with cumulative
     unit-exponential Gamma_j and iid increment fields W^j; the result
     carries the truncation diagnostic described on :class:`BrSimResult`.
-    With ``'gaussian_max'`` it rescales the maximum of N correlated
-    Gaussian fields (exact unit-Frechet margins for every N; the joint law
-    approaches Brown-Resnick as N grows).
+    With ``'gaussian_max'`` it rescales the maximum of N Gaussian fields
+    with correlation ``1 / (1 + delta(d_N*h))`` (exact unit-Frechet margins
+    for every N; the joint law approaches Brown-Resnick with variogram
+    ``vario`` as N grows).
 
     Returns
     -------
@@ -551,11 +511,6 @@ class CountRule:
     def fixed(cls, n: int) -> "CountRule":
         return cls("fixed", int(n))
 
-    def label(self) -> str:
-        if self.kind == "poisson":
-            return f"poisson(nu={self.value:g})"
-        return f"fixed({int(self.value)})"
-
 
 @dataclass(frozen=True)
 class FieldSource:
@@ -581,11 +536,6 @@ class FieldSource:
     @classmethod
     def brown_resnick(cls, vario: VariogramSpec, config: BrSimConfig) -> "FieldSource":
         return cls("brown_resnick", vario=vario, config=config)
-
-    def label(self) -> str:
-        if self.kind == "frechet_iid":
-            return "frechet_iid"
-        return f"brown_resnick({self.vario.label()},{self.config.label()})"
 
 
 def sim_point_field(

@@ -1,8 +1,11 @@
 """Simulator laws: margins, determinism, weight handling."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from extremogram import (
@@ -24,6 +27,7 @@ from extremogram import (
     sim_point_field,
 )
 from extremogram.inference import centered_grid_sites
+from extremogram.simulate import _pair_distances
 
 
 def frechet_cdf(x, scale=1.0):
@@ -121,6 +125,39 @@ def test_brown_resnick_gaussian_max_margins_exact_law():
     ])
     ks = stats.kstest(values, frechet_cdf).statistic
     assert ks < 0.02, ks
+
+
+def test_gaussian_max_follows_the_variogram():
+    sites = centered_grid_sites((4, 4), 1.0)
+    config = BrSimConfig.gaussian_max(n_gaussians=100)
+
+    def draw(theta, alpha):
+        return sim_brown_resnick(sites, VariogramSpec(theta, alpha), config, seed=2).values
+
+    assert not np.array_equal(draw(0.5, 2.0), draw(1.0, 2.0))
+    assert not np.array_equal(draw(0.5, 2.0), draw(1.0, 1.0))
+
+
+def test_brown_resnick_draws_keep_their_bits():
+    # seed-to-bits contract: a gaussian_max draw at theta=1, alpha=2 and a
+    # spectral draw keep fixed bytes
+    sites = centered_grid_sites((6, 6), 0.5)
+    gmax = sim_brown_resnick(sites, VariogramSpec(1.0, 2.0), BrSimConfig.gaussian_max(200), seed=3)
+    spec = sim_brown_resnick(sites, VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200), seed=3)
+    digest = hashlib.sha256(gmax.values.tobytes() + spec.values.tobytes()).hexdigest()
+    assert digest == "a35c60ce3f0118dfebceef456a3e032ceb3f7f766f4e735185503492b1009420"
+
+
+_coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_distances_equal_the_broadcast_norm_property(points, data):
+    repeat = data.draw(st.sampled_from(points))
+    sites = np.array(points + [repeat, (0.0, 0.0)])
+    reference = np.linalg.norm(sites[:, None] - sites[None], axis=2)
+    assert np.array_equal(_pair_distances(sites), reference)
 
 
 def test_brown_resnick_spectral_margins_near_origin():
