@@ -313,10 +313,7 @@ def _estimator_config(args) -> EstimatorConfig:
     if args.mode == "kernel":
         if args.bandwidth is None:
             raise UsageError("--mode kernel requires --bandwidth")
-        if args.kernel == "box":
-            kernel = KernelSpec.box(args.bandwidth)
-        else:
-            kernel = KernelSpec.epanechnikov(args.bandwidth)
+        kernel = KernelSpec(args.kernel, args.bandwidth)
     return EstimatorConfig(
         mode=args.mode,
         by_distance=args.by_distance,
@@ -371,8 +368,7 @@ def _cmd_oracle(args) -> int:
         distances = [float(p) for p in args.lags.split(",")]
     except ValueError:
         raise UsageError(f"--lags must be comma-separated distances, got {args.lags!r}")
-    header = "distance,rho_limit" + (",rho_pa,m" if args.m is not None else "")
-    lines = [header]
+    rows = []
     for dist in distances:
         if args.model == "mma1":
             lag = _snap_distance(dist)
@@ -393,32 +389,39 @@ def _cmd_oracle(args) -> int:
             lag = Lag.of(dist, 0.0)
             limit = br_extremogram(lag, vario)
             pa = br_pa_extremogram(lag, vario, m=args.m).rho_pa if args.m is not None else None
-        row = f"{dist:g},{limit:.17g}"
-        if pa is not None:
-            row += f",{pa:.17g},{args.m:.17g}"
-        lines.append(row)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        fileio._write_text(args.out, text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+        rows.append((limit, pa))
+    limits, pas = zip(*rows)
+    text = fileio._oracle_table(distances, limits, pas, args.m)
+    _write_or_print(args.out, fileio._write_text, text, text)
     return 0
+
+
+def _write_or_print(out: str | None, write, obj, table: str) -> None:
+    """``write(out, obj)`` and print the path with --out, else print ``table``."""
+    if out:
+        write(out, obj)
+        print(out)
+    else:
+        sys.stdout.write(table)
+
+
+def _lattice_model(args, dims):
+    """The lattice model named by --model on a grid of ``dims`` (simulate, mc, rate-check)."""
+    if args.model == "frechet":
+        return FrechetModel(dims)
+    if args.model == "mma1":
+        return MmaModel(dims, WeightSpec.indicator_ball(1.0))
+    if args.model == "mma":
+        return MmaModel(dims, _parse_weights(args.weights))
+    if len(dims) != 2:
+        raise UsageError("brown-resnick simulation is planar; --dims nx,ny")
+    return BrLatticeModel(dims, _variogram(args), _br_config(args), spacing=args.spacing)
 
 
 def _field_model(args):
     """The model named by --model and its flags (simulate and mc)."""
     if args.model != "point-field":
-        dims = _parse_dims(args.dims)
-        if args.model == "frechet":
-            return FrechetModel(dims)
-        if args.model == "mma1":
-            return MmaModel(dims, WeightSpec.indicator_ball(1.0))
-        if args.model == "mma":
-            return MmaModel(dims, _parse_weights(args.weights))
-        if len(dims) != 2:
-            raise UsageError("brown-resnick simulation is planar; --dims nx,ny")
-        return BrLatticeModel(dims, _variogram(args), _br_config(args), spacing=args.spacing)
+        return _lattice_model(args, _parse_dims(args.dims))
     region = _parse_region(args.region)
     if (args.intensity is None) == (args.count is None):
         raise UsageError("point-field needs exactly one of --intensity or --count")
@@ -434,29 +437,6 @@ def _field_model(args):
     return PointProcessModel(region, rule, source)
 
 
-def _print_or_write_mc(summary, out: str | None) -> None:
-    if out:
-        fileio.write_mc(out, summary)
-        print(out)
-        return
-    import io
-
-    buf = io.StringIO()
-    q_names = [f"q{q:g}" for q in sorted(summary.quantiles)]
-    buf.write("distance,mean,variance," + ",".join(q_names))
-    if summary.oracle_pa is not None:
-        buf.write(",oracle_limit,oracle_pa")
-    buf.write("\n")
-    for i in range(len(summary.lags)):
-        cells = [f"{summary.distances[i]:g}", f"{summary.mean[i]:.17g}",
-                 f"{summary.variance[i]:.17g}"]
-        cells += [f"{summary.quantiles[q][i]:.17g}" for q in sorted(summary.quantiles)]
-        if summary.oracle_pa is not None:
-            cells += [f"{summary.oracle_limit[i]:.17g}", f"{summary.oracle_pa[i]:.17g}"]
-        buf.write(",".join(cells) + "\n")
-    sys.stdout.write(buf.getvalue())
-
-
 def _cmd_mc(args) -> int:
     model = _field_model(args)
     config = _estimator_config(args)
@@ -469,7 +449,7 @@ def _cmd_mc(args) -> int:
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,
         n_reps=args.reps, seed=args.seed,
     )
-    _print_or_write_mc(summary, args.out)
+    _write_or_print(args.out, fileio.write_mc, summary, fileio._mc_stdout(summary))
     return 0
 
 
@@ -485,24 +465,13 @@ def _cmd_rate_check(args) -> int:
         ref_lag = Lag.of(*ref[1])
     else:
         ref_lag = Lag.of(ref[1], 0.0)
-    if args.model == "frechet":
-        make_model = lambda n: FrechetModel((n, n))  # noqa: E731
-    else:
-        weights = (WeightSpec.indicator_ball(1.0) if args.model == "mma1"
-                   else _parse_weights(args.weights))
-        make_model = lambda n: MmaModel((n, n), weights)  # noqa: E731
     set_a, set_b = _parse_sets(args)
     rate = clt_rate_check(
-        make_model, set_a, set_b, _parse_threshold(args.threshold),
+        lambda n: _lattice_model(args, (n, n)), set_a, set_b, _parse_threshold(args.threshold),
         EstimatorConfig("lattice"), ref_lag,
         sizes=sizes, n_reps=args.reps, seed=args.seed,
     )
-    if args.out:
-        fileio.write_rate(args.out, rate)
-        print(args.out)
-    else:
-        slope = "" if rate.slope is None else f"{rate.slope:.17g}"
-        sys.stdout.write(fileio._rate_table(rate) + f"# slope={slope}\n")
+    _write_or_print(args.out, fileio.write_rate, rate, fileio._rate_stdout(rate))
     return 0
 
 

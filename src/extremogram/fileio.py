@@ -1,9 +1,12 @@
-"""CSV serialization for fields, estimates, and space-time cubes.
+"""CSV serialization for fields, estimates, space-time cubes and study tables.
 
 All files are plain CSV with deterministic formatting (floats as 17
 significant digits), so write -> read -> write is byte-identical and
-outputs diff cleanly.  Field files carry their geometry in a one-line
-JSON header comment.  Estimate files use the fixed column contract
+outputs diff cleanly.  Every table (field, cube, estimate, MC, rate,
+oracle) goes through one row codec: the column dtypes decide how each
+cell prints, and a structured dtype decides how each row parses.  Field
+files carry their geometry in a one-line JSON header comment.  Estimate
+files use the fixed column contract
 
     lag_x,lag_y,distance,rho_hat,pair_count,exceed_count,band_lo,band_hi
 
@@ -11,9 +14,10 @@ JSON header comment.  Estimate files use the fixed column contract
 a JSON sidecar with the threshold, denominator rate, and any band or
 run metadata.  Space-time cubes are long-format t,x,y,value with
 integer indices from zero.  Lattice and cube rows may come in any order,
-since each is placed by its index columns; every malformed row fails
-hard, named by its line.  Every write is atomic: the text goes to a
-temporary file in the same directory, which then replaces the target.
+since each is placed by its index columns.  Every malformed row or token
+of a field, cube or estimate table fails hard, named by its line.  Every
+write is atomic: the text goes to a temporary file in the same
+directory, which then replaces the target.
 """
 from __future__ import annotations
 
@@ -58,11 +62,9 @@ ESE_COLUMNS = (
     "band_hi",
 )
 
+_ESE_DTYPE = np.dtype([(name, "i8" if name.endswith("_count") else "f8") for name in ESE_COLUMNS])
+
 _AXIS_NAMES = ("x", "y", "z")
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _write_text(path, text: str) -> None:
@@ -107,8 +109,8 @@ def write_field(path, field: LatticeField | PointField) -> None:
     """Write a lattice or point field with a JSON geometry header."""
     if isinstance(field, LatticeField):
         meta = {"kind": "lattice", "dims": list(field.dims)}
-        columns = ",".join(_AXIS_NAMES[: field.d]) + ",value"
-        rows = _format_rows(field.d, [*np.indices(field.dims).reshape(field.d, -1), field.values])
+        table = _table([*_AXIS_NAMES[: field.d], "value"],
+                       [*np.indices(field.dims).reshape(field.d, -1), field.values])
     elif isinstance(field, PointField):
         hint = field.intensity_hint
         meta = {
@@ -116,11 +118,10 @@ def write_field(path, field: LatticeField | PointField) -> None:
             "region": [float(c) for c in field.region],
             "intensity_hint": None if hint is None else float(hint),
         }
-        columns = "x,y,value"
-        rows = _format_rows(0, [*field.locations.T, field.values])
+        table = _table(["x", "y", "value"], [*field.locations.T, field.values])
     else:
         raise DataFormatError(f"cannot serialize {type(field).__name__}")
-    _write_text(path, f"{_header_line(meta)}\n{columns}\n{rows}")
+    _write_text(path, f"{_header_line(meta)}\n{table}")
 
 
 def _parse_header(line: str, path) -> dict:
@@ -144,55 +145,69 @@ def read_field(path) -> LatticeField | PointField:
     meta = _parse_header(lines[0], path)
     kind = meta["kind"]
     if kind == "lattice":
-        dims = tuple(int(n) for n in meta.get("dims", ()))
-        if not 1 <= len(dims) <= 3:
-            raise DataFormatError(f"{path}: line 1: bad dims {meta.get('dims')!r}")
+        dims = tuple(_header_value(path, meta, "dims", lambda v: (
+            isinstance(v, list) and 1 <= len(v) <= 3 and all(type(n) is int for n in v))))
         if len(lines) - 2 != math.prod(dims):
             raise DataFormatError(
                 f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(lines) - 2}"
             )
-        idx, values = _read_rows(path, lines, 2, len(dims), len(dims) + 1)
-        return _checked(path, LatticeField, dims, _place(path, dims, idx, values[:, 0], 3))
+        rows = _read_rows(path, lines, 2, np.dtype([("i", np.int64, (len(dims),)), ("v", float)]))
+        return _checked(path, LatticeField, dims, _place(path, dims, rows["i"], rows["v"], 3))
     if kind == "point":
-        region = tuple(float(c) for c in meta.get("region", ()))
-        if len(region) != 4:
-            raise DataFormatError(f"{path}: line 1: bad region {meta.get('region')!r}")
-        hint = meta.get("intensity_hint")
-        _, cols = _read_rows(path, lines, 2, 0, 3)
-        return _checked(
-            path, PointField, cols[:, :2], cols[:, 2], region, None if hint is None else float(hint)
-        )
+        # JSON numbers parse to int or float, never to their subclass bool
+        region = _header_value(path, meta, "region", lambda v: (
+            isinstance(v, list) and len(v) == 4 and all(type(c) in (int, float) for c in v)))
+        hint = _header_value(path, meta, "intensity_hint",
+                             lambda v: v is None or type(v) in (int, float))
+        rows = _read_rows(path, lines, 2, np.dtype([("xy", float, (2,)), ("v", float)]))
+        return _checked(path, PointField, rows["xy"], rows["v"], region,
+                        None if hint is None else float(hint))
     raise DataFormatError(f"{path}: unknown field kind {kind!r}")
 
 
+def _header_value(path, meta: dict, key: str, ok):
+    # a header value of the wrong type is bad data, not a crash later
+    value = meta.get(key)
+    if not ok(value):
+        raise DataFormatError(f"{path}: line 1: bad {key} {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
-# indexed rows: integer index columns, then float value columns
+# the row codec: column dtypes decide how cells print and parse
 
 
-def _format_rows(n_index: int, columns) -> str:
-    """Newline-terminated CSV rows: ``n_index`` integer columns, then floats.
+def _table(names, columns) -> str:
+    """A header line of ``names``, then :func:`_format_rows` of ``columns``."""
+    return ",".join(names) + "\n" + _format_rows(columns)
 
-    One format string covers the whole table; values print at 17
-    significant digits, which read back bit for bit.
+
+def _format_rows(columns) -> str:
+    """Newline-terminated CSV rows, one cell per column array.
+
+    One format string covers the whole table.  Float columns print at
+    17 significant digits, which read back bit for bit; integer and
+    text columns print as they are, so an empty cell is the text "".
     """
-    row = ",".join(["{}"] * n_index + ["{:.17g}"] * (len(columns) - n_index)) + "\n"
+    row = ",".join("{:.17g}" if col.dtype.kind == "f" else "{}" for col in columns) + "\n"
     cells = itertools.chain.from_iterable(zip(*(col.tolist() for col in columns)))
     return (row * len(columns[0])).format(*cells)
 
 
-def _read_rows(path, lines, n_header: int, n_index: int, n_cols: int):
-    """Index columns ``(n, n_index)`` int64 and values ``(n, n_cols - n_index)``.
+def _read_rows(path, lines, n_header: int, dtype: np.dtype) -> np.ndarray:
+    """``lines[n_header:]`` parsed as one record each of the structured ``dtype``.
 
-    The rows are ``lines[n_header:]``.  A blank row, a wrong column
-    count or a token that is not a number raises, naming its line.
+    Its fields take the columns in order, a field of shape ``(k,)`` k of
+    them.  A blank row, a wrong column count, an integer cell that is
+    not ``[0-9-]`` only or a token that is not a number raises, naming
+    its line.
     """
     body = lines[n_header:]
-    dtype = np.dtype([("i", np.int64, (n_index,)), ("v", np.float64, (n_cols - n_index,))])
-    bad = _bad_index_row(lines, n_header, n_index)
+    kinds = "".join(dtype[name].base.kind * math.prod(dtype[name].shape) for name in dtype.names)
+    bad = _bad_int_row(lines, n_header, kinds)
     if bad is None:
         try:
-            table = _parse_rows(body, dtype)
-            return table["i"], table["v"]
+            return _parse_rows(body, dtype)
         except ValueError:
             # loadtxt numbers rows its own way; bisect for the first bad row
             bad, hi = 0, len(body)
@@ -204,7 +219,7 @@ def _read_rows(path, lines, n_header: int, n_index: int, n_cols: int):
                 except ValueError:
                     hi = mid
     got = body[bad].count(",") + 1
-    why = "bad index or value" if got == n_cols else f"expected {n_cols} columns, got {got}"
+    why = "bad index or value" if got == len(kinds) else f"expected {len(kinds)} columns, got {got}"
     raise DataFormatError(f"{path}: line {n_header + bad + 1}: {why}")
 
 
@@ -218,12 +233,15 @@ def _parse_rows(rows, dtype) -> np.ndarray:
     return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _bad_index_row(lines, n_header: int, n_index: int) -> int | None:
-    # [0-9-] only: int() would also take spaces, '+', '_' and non-ASCII
-    # digits; the lookahead also fails on a blank row
+def _bad_int_row(lines, n_header: int, kinds: str) -> int | None:
+    # [0-9-] only in integer cells: int() would also take spaces, '+', '_'
+    # and non-ASCII digits; the lookahead also fails on a blank row
+    if "i" not in kinds:
+        return None
+    cells = ["[0-9-]+" if kind == "i" else "[^,\n]*" for kind in kinds[: kinds.rindex("i") + 1]]
     text = "\n".join(lines)
     start = sum(map(len, lines[:n_header])) + n_header - 1
-    bad = re.compile(r"\n(?!(?:[0-9-]+,){%d})" % n_index).search(text, start)
+    bad = re.compile(r"\n(?!%s(?![^,\n]))" % ",".join(cells)).search(text, start)
     return None if bad is None else text.count("\n", start, bad.start())
 
 
@@ -309,9 +327,10 @@ def _check_planar(d: int) -> None:
         raise DataFormatError("the lag_x,lag_y column contract cannot represent 3-d lags")
 
 
-def _lag_xy(lags) -> list[tuple[float, float]]:
+def _lag_columns(lags) -> np.ndarray:
+    """The lag_x and lag_y columns; a 1-d lag has lag_y 0."""
     _check_planar(max((lag.d for lag in lags), default=1))
-    return [(lag.offset[0], lag.offset[1] if lag.d == 2 else 0.0) for lag in lags]
+    return np.array([(*lag.offset, 0.0)[:2] for lag in lags]).reshape(-1, 2).T
 
 
 def write_ese(path, result: EseResult, band: BandResult | None = None, extra_meta: dict | None = None) -> None:
@@ -320,20 +339,10 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
     The pooled band, when given, is repeated on every row (it is
     constant by construction); per-lag bands live in the sidecar.
     """
-    blo = _fmt(band.lo) if band is not None else ""
-    bhi = _fmt(band.hi) if band is not None else ""
-    lines = [",".join(ESE_COLUMNS)]
-    for (lx, ly), dist, rho, pc, ec in zip(
-        _lag_xy(result.lags),
-        result.distances,
-        result.rho_hat,
-        result.pair_count,
-        result.exceed_count,
-    ):
-        lines.append(
-            f"{_fmt(lx)},{_fmt(ly)},{_fmt(dist)},{_fmt(rho)},{int(pc)},{int(ec)},{blo},{bhi}"
-        )
-    _write_with_sidecar(path, "\n".join(lines) + "\n", _ese_meta(result, band, extra_meta))
+    bounds = ("", "") if band is None else (band.lo, band.hi)
+    columns = [*_lag_columns(result.lags), result.distances, result.rho_hat, result.pair_count,
+               result.exceed_count, *(np.full(result.n_rows, bound) for bound in bounds)]
+    _write_with_sidecar(path, _table(ESE_COLUMNS, columns), _ese_meta(result, band, extra_meta))
 
 
 def read_ese(path) -> tuple[EseTable, dict]:
@@ -342,41 +351,18 @@ def read_ese(path) -> tuple[EseTable, dict]:
         lines = fh.read().splitlines()
     if not lines or tuple(lines[0].split(",")) != ESE_COLUMNS:
         raise DataFormatError(f"{path}: line 1: expected header {','.join(ESE_COLUMNS)}")
-    cols = {name: [] for name in ESE_COLUMNS}
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(ESE_COLUMNS):
-            raise DataFormatError(
-                f"{path}: line {ln}: expected {len(ESE_COLUMNS)} columns, got {len(parts)}"
-            )
-        try:
-            for name, raw in zip(ESE_COLUMNS, parts):
-                if name in ("band_lo", "band_hi"):
-                    cols[name].append(math.nan if raw == "" else float(raw))
-                elif name in ("pair_count", "exceed_count"):
-                    cols[name].append(int(raw))
-                else:
-                    cols[name].append(float(raw))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: line {ln}: bad number ({exc})") from exc
+    # a row without a band has both band cells empty
+    lines = [line[:-1] + "nan,nan" if line.endswith(",,") else line for line in lines]
+    rows = _read_rows(path, lines, 1, _ESE_DTYPE)
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
         with open(side) as fh:
-            meta = json.load(fh)
-    return (
-        EseTable(
-            lag_x=np.array(cols["lag_x"]),
-            lag_y=np.array(cols["lag_y"]),
-            distance=np.array(cols["distance"]),
-            rho_hat=np.array(cols["rho_hat"]),
-            pair_count=np.array(cols["pair_count"], dtype=np.int64),
-            exceed_count=np.array(cols["exceed_count"], dtype=np.int64),
-            band_lo=np.array(cols["band_lo"]),
-            band_hi=np.array(cols["band_hi"]),
-        ),
-        meta,
-    )
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(f"{side}: bad JSON sidecar ({exc})") from exc
+    return EseTable(**{name: rows[name] for name in ESE_COLUMNS}), meta
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +372,7 @@ def read_ese(path) -> tuple[EseTable, dict]:
 def write_space_time(path, grid: SpaceTimeGrid) -> None:
     """Write a cube as long-format t,x,y,value rows in index order."""
     idx = np.indices(grid.values.shape).reshape(3, -1)
-    _write_text(path, "t,x,y,value\n" + _format_rows(3, [*idx, grid.values.ravel()]))
+    _write_text(path, _table(["t", "x", "y", "value"], [*idx, grid.values.ravel()]))
 
 
 def read_space_time(path) -> SpaceTimeGrid:
@@ -402,8 +388,8 @@ def read_space_time(path) -> SpaceTimeGrid:
         raise DataFormatError(f"{path}: line 1: expected header t,x,y,value")
     if len(lines) == 1:
         raise DataFormatError(f"{path}: no data rows")
-    idx, values = _read_rows(path, lines, 1, 3, 4)
-    values = values[:, 0]
+    rows = _read_rows(path, lines, 1, np.dtype([("i", np.int64, (3,)), ("v", float)]))
+    idx, values = rows["i"], rows["v"]
     negative = np.any(idx < 0, axis=1)
     if negative.any():
         raise DataFormatError(f"{path}: line {int(np.argmax(negative)) + 2}: negative index")
@@ -427,19 +413,13 @@ def read_space_time(path) -> SpaceTimeGrid:
 
 def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     """Write Monte Carlo aggregates, one row per estimator row."""
-    q_names = [f"q{q:g}" for q in sorted(summary.quantiles)]
-    header = ["lag_x", "lag_y", "distance", "mean", "variance", *q_names,
-              "oracle_limit", "oracle_pa"]
-    lines = [",".join(header)]
-    for i, (lx, ly) in enumerate(_lag_xy(summary.lags)):
-        cells = [
-            _fmt(lx), _fmt(ly), _fmt(summary.distances[i]),
-            _fmt(summary.mean[i]), _fmt(summary.variance[i]),
-        ]
-        cells.extend(_fmt(summary.quantiles[q][i]) for q in sorted(summary.quantiles))
-        cells.append("" if summary.oracle_limit is None else _fmt(summary.oracle_limit[i]))
-        cells.append("" if summary.oracle_pa is None else _fmt(summary.oracle_pa[i]))
-        lines.append(",".join(cells))
+    names, columns = _mc_columns(summary)
+    oracles = [np.full(len(summary.lags), "") if col is None else col
+               for col in (summary.oracle_limit, summary.oracle_pa)]
+    table = _table(
+        ["lag_x", "lag_y", "distance", *names, "oracle_limit", "oracle_pa"],
+        [*_lag_columns(summary.lags), summary.distances, *columns, *oracles],
+    )
     meta = {
         "model": summary.model,
         "estimator": summary.estimator,
@@ -450,14 +430,44 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    _write_with_sidecar(path, "\n".join(lines) + "\n", meta)
+    _write_with_sidecar(path, table, meta)
+
+
+def _mc_columns(summary: McSummary):
+    """Names and columns of the mean, variance and quantiles of each row."""
+    qs = sorted(summary.quantiles)
+    return (["mean", "variance", *(f"q{q:g}" for q in qs)],
+            [summary.mean, summary.variance, *(summary.quantiles[q] for q in qs)])
+
+
+def _mc_stdout(summary: McSummary) -> str:
+    """The CLI's ``mc`` table: rows keyed by a short distance, oracles when known."""
+    names, columns = _mc_columns(summary)
+    if summary.oracle_pa is not None:
+        names += ["oracle_limit", "oracle_pa"]
+        columns += [summary.oracle_limit, summary.oracle_pa]
+    return _table(["distance", *names], [np.char.mod("%g", summary.distances), *columns])
 
 
 def _rate_table(rate: RateCheck) -> str:
     """The per-size ``size,mean,variance`` table, shared with the CLI's stdout."""
-    rows = [f"{size},{_fmt(mean)},{_fmt(var)}"
-            for size, mean, var in zip(rate.sizes, rate.means, rate.variances)]
-    return "\n".join(["size,mean,variance", *rows]) + "\n"
+    return _table(["size", "mean", "variance"], [np.array(rate.sizes), rate.means, rate.variances])
+
+
+def _rate_stdout(rate: RateCheck) -> str:
+    """The CLI's ``rate-check`` table, with the fitted slope as a comment."""
+    slope = "" if rate.slope is None else f"{rate.slope:.17g}"
+    return _rate_table(rate) + f"# slope={slope}\n"
+
+
+def _oracle_table(distances, rho_limit, rho_pa, m) -> str:
+    """The CLI's ``oracle`` table; ``rho_pa`` and ``m`` columns only with ``m``."""
+    names = ["distance", "rho_limit"]
+    columns = [np.char.mod("%g", distances), np.array(rho_limit, dtype=float)]
+    if m is not None:
+        names += ["rho_pa", "m"]
+        columns += [np.array(rho_pa, dtype=float), np.full(len(distances), float(m))]
+    return _table(names, columns)
 
 
 def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:

@@ -373,6 +373,25 @@ def test_negative_field_value_is_data_error(tmp_path, capsys):
     assert code == 2 and "nonnegative" in err
 
 
+@pytest.mark.parametrize("header", [
+    '{"dims": 5, "kind": "lattice"}',
+    '{"dims": ["a", 2], "kind": "lattice"}',
+    '{"intensity_hint": null, "kind": "point", "region": 7}',
+    '{"intensity_hint": "x", "kind": "point", "region": [0, 1, 0, 1.5]}',
+])
+def test_wrong_typed_field_header_is_a_data_error(tmp_path, capsys, header):
+    src = tmp_path / "field.csv"
+    src.write_text(f"# {header}\nx,y,value\n0,0,1\n0,1,2\n")
+    code, out, err = run(capsys, "estimate", "--input", str(src), "--mode", "lattice",
+                         "--threshold", "q=0.9", "--lags", "1,0;",
+                         "--out", str(tmp_path / "o.csv"))
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DataFormatError" and "field.csv: line 1: bad " in payload["message"]
+
+
 def test_every_failing_exit_prints_one_json_line(tmp_path, capsys):
     cases = [
         (1, "frobnicate", ["frobnicate"]),

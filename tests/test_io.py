@@ -227,6 +227,53 @@ def test_ese_roundtrip_is_lossless(tmp_path):
     assert meta["by_distance"] is True
 
 
+def test_ese_reads_back_bit_for_bit_with_and_without_bands(tmp_path):
+    f = sim_frechet_iid((10, 10), seed=7)
+    lags = [Lag.of(1, 0), Lag.of(0, 1), Lag.of(2, 1)]
+    res = lattice_ese(f, RAY, RAY, Q90, lags)
+    band = permutation_bands(f, RAY, RAY, Q90, EstimatorConfig(mode="lattice"),
+                             lags, n_perm=100, seed=0)
+    for name, b in (("plain.csv", None), ("banded.csv", band)):
+        write_ese(tmp_path / name, res, band=b)
+        table, _ = read_ese(tmp_path / name)
+        assert np.array_equal(table.lag_x, [1.0, 0.0, 2.0])
+        assert np.array_equal(table.lag_y, [0.0, 1.0, 1.0])
+        assert np.array_equal(table.distance, res.distances)
+        assert np.array_equal(table.rho_hat, res.rho_hat)
+        assert table.pair_count.dtype == table.exceed_count.dtype == np.int64
+        assert np.array_equal(table.pair_count, res.pair_count)
+        assert np.array_equal(table.exceed_count, res.exceed_count)
+        lo, hi = (math.nan, math.nan) if b is None else (b.lo, b.hi)
+        assert np.array_equal(table.band_lo, [lo] * 3, equal_nan=True)
+        assert np.array_equal(table.band_hi, [hi] * 3, equal_nan=True)
+
+
+@pytest.mark.parametrize("column, token", [
+    # int() would read the first three as 10, float() the last as 5.0
+    (4, "1_0"), (4, " 10"), (5, "+10"), (5, "1_0"), (3, "0_5"), (0, "x"), (6, "lo"),
+])
+def test_ese_malformed_tokens_are_named_by_their_line(tmp_path, column, token):
+    f = sim_frechet_iid((10, 10), seed=5)
+    p = tmp_path / "ese.csv"
+    write_ese(p, lattice_ese(f, RAY, RAY, Q90, [Lag.of(1, 0), Lag.of(0, 1)]))
+    lines = p.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = token
+    lines[2] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="ese.csv: line 3: bad index or value"):
+        read_ese(p)
+
+
+def test_ese_sidecar_that_is_not_json_is_a_data_error(tmp_path):
+    f = sim_frechet_iid((10, 10), seed=5)
+    p = tmp_path / "ese.csv"
+    write_ese(p, lattice_ese(f, RAY, RAY, Q90, [Lag.of(1, 0)]))
+    (tmp_path / "ese.json").write_text('{"mode": "lattice",')
+    with pytest.raises(DataFormatError, match="ese.json: bad JSON sidecar"):
+        read_ese(p)
+
+
 def test_ese_band_columns_and_sidecar(tmp_path):
     f = sim_frechet_iid((10, 10), seed=7)
     lags = [Lag.of(1, 0), Lag.of(2, 0)]
