@@ -66,16 +66,24 @@ def _check_ray_sets(set_a, set_b):
 
 
 def _mma_overlap(weights: WeightSpec, lag: Lag, d: int):
-    """(sum_s min(w(s), w(h+s)), sum_s w(s)) over the truncated support."""
+    """(sum_s min(w(s), w(h+s)), sum_s w(s)) over the truncated support.
+
+    w(h+s) is read from the weights scattered on a dense grid over the
+    support's bounding box (zero outside it).  The numerator is summed
+    left to right in support order by ``cumsum``, as a scalar loop would.
+    """
     offsets, wts = weights.support(d)
-    table = {tuple(int(c) for c in off): float(w) for off, w in zip(offsets, wts)}
-    h = lag.int_offset()
-    num = 0.0
-    for off, w in table.items():
-        shifted = tuple(o + hh for o, hh in zip(off, h))
-        other = table.get(shifted, 0.0)
-        num += min(w, other)
-    return num, float(wts.sum())
+    low = offsets.min(axis=0)
+    grid = np.zeros(offsets.max(axis=0) - low + 1)
+    grid[tuple((offsets - low).T)] = wts
+    # a lag component at or past the box width overlaps nothing; clipping
+    # it to the width keeps huge lags within int64 in the sum below
+    h = [min(max(c, -n), n) for c, n in zip(lag.int_offset(), grid.shape)]
+    shifted = offsets + h - low
+    inside = np.all((shifted >= 0) & (shifted < grid.shape), axis=1)
+    other = np.zeros(len(wts))
+    other[inside] = grid[tuple(shifted[inside].T)]
+    return float(np.cumsum(np.minimum(wts, other))[-1]), float(wts.sum())
 
 
 def mma_extremogram(

@@ -103,6 +103,8 @@ class WeightSpec:
                     raise ValueError("explicit offsets must share one dimension")
                 if not (math.isfinite(w) and w > 0):
                     raise ValueError(f"explicit weight at {off} must be positive")
+            if len({off for off, _ in self.mapping}) != len(self.mapping):
+                raise ValueError("explicit offsets must be distinct")
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
@@ -295,6 +297,12 @@ def sim_mma(dims, weights: WeightSpec, seed: int) -> LatticeField:
     exactly ``P(X <= x) = exp(-W_tot/x)`` with W_tot the (truncated)
     total weight.
 
+    Equal-weight shells are visited heaviest first, and the loop stops
+    before a shell of weight w once ``w * max(Z) <= min(X)``.  The stop is
+    exact: max does not depend on order and rounding ``w * z`` is
+    monotone in w and z, so no lighter shell can raise any site, and the
+    values equal the all-shells maximum bit for bit.
+
     Parameters
     ----------
     dims : tuple of int
@@ -311,12 +319,17 @@ def sim_mma(dims, weights: WeightSpec, seed: int) -> LatticeField:
     noise = _frechet(rng, tuple(n + 2 * p for n, p in zip(dims, pad)))
     out = np.zeros(dims)
     # group offsets sharing one weight value (equal-norm shells) so each
-    # shell costs one multiply
-    order = np.argsort(wts, kind="stable")
+    # shell costs one multiply; stop at the first shell that can raise no
+    # site (see the docstring).  The initial values let an empty grid
+    # reach LatticeField's own check instead of failing in a reduction.
+    top = noise.max(initial=0.0)
+    order = np.argsort(-wts, kind="stable")
     offsets = offsets[order]
     wts = wts[order]
     boundaries = np.flatnonzero(np.diff(wts)) + 1
     for group in np.split(np.arange(len(wts)), boundaries):
+        if wts[group[0]] * top <= out.min(initial=np.inf):
+            break
         shell = np.zeros(dims)
         for k in group:
             sl = tuple(

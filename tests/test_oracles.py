@@ -29,7 +29,7 @@ from extremogram import (
     mma_pa_extremogram,
 )
 from extremogram.fields import ExtremeSet
-from extremogram.oracles import br_pa_exceedance
+from extremogram.oracles import _mma_overlap, br_pa_exceedance
 
 M_3PCT = 100.0 / 3.0  # tail index for a 3% exceedance rate
 
@@ -146,6 +146,42 @@ def test_geometric_classsum_equals_minsum_enumeration():
             direct = mma_extremogram(weights, Lag.of(*off))
             classsum = mma_geometric_extremogram_classsum(phi, Lag.of(*off))
             assert direct == pytest.approx(classsum, abs=1e-10), (phi, off)
+
+
+def _mma_overlap_by_dict(weights, lag, d):
+    """Reference: the scalar loop over an offset -> weight dict."""
+    offsets, wts = weights.support(d)
+    table = {tuple(int(c) for c in off): float(w) for off, w in zip(offsets, wts)}
+    h = lag.int_offset()
+    num = 0.0
+    for off, w in table.items():
+        shifted = tuple(o + hh for o, hh in zip(off, h))
+        num += min(w, table.get(shifted, 0.0))
+    return num, float(wts.sum())
+
+
+def test_mma_overlap_equals_the_dict_loop():
+    planar = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    # lags past the support (numerator 0) as well as inside it
+    far = [(51, 0), (0, -60), (40, 40), (10**6, 3), (2**63 - 1, 0)]
+    cases = [
+        (WeightSpec.geometric(0.5), planar[::4] + far),
+        (WeightSpec.geometric(0.3, truncation_radius=6.5), planar + far),
+        (WeightSpec.indicator_ball(3), planar + far),
+        (WeightSpec.explicit({(0, 0): 1.0, (-2, 1): 2.5, (1, -3): 0.3, (-1, -1): 1.0}),
+         planar + [(-3, 4), (4, -3), (9, 9)]),
+        (WeightSpec.geometric(0.5), [(x,) for x in range(-45, 46, 3)]),
+        (WeightSpec.explicit({(0,): 1.0, (-4,): 0.5, (3,): 2.0}), [(x,) for x in range(-9, 10)]),
+        (WeightSpec.geometric(0.4, truncation_radius=5),
+         [(0, 0, 0), (1, 0, 0), (1, -1, 1), (2, 3, -1), (0, 0, 11), (-6, 6, 0)]),
+        (WeightSpec.explicit({(0, 0, 0): 1.0, (1, -2, 3): 4.0, (-1, 0, 2): 0.5}),
+         [(0, 0, 0), (1, -2, 3), (-1, 2, -3), (-2, 2, -1), (5, 5, 5)]),
+    ]
+    for weights, lags in cases:
+        for h in lags:
+            lag = Lag.of(*h)
+            got = _mma_overlap(weights, lag, lag.d)
+            assert got == _mma_overlap_by_dict(weights, lag, lag.d), (weights.label(), h)
 
 
 def test_geometric_pa_frozen_values():

@@ -26,8 +26,9 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
+from extremogram.fields import derive_rng
 from extremogram.inference import centered_grid_sites
-from extremogram.simulate import _pair_distances
+from extremogram.simulate import _frechet, _pair_distances
 
 
 def frechet_cdf(x, scale=1.0):
@@ -71,6 +72,8 @@ def test_weight_spec_explicit():
     offsets, weights = w.support(2)
     assert len(offsets) == 2
     assert w.total_weight(2) == 1.5
+    with pytest.raises(ValueError, match="distinct"):
+        WeightSpec(kind="explicit", mapping=(((0, 0), 1.0), ((0, 0), 2.0)))
 
 
 def test_mma_marginal_law():
@@ -91,6 +94,91 @@ def test_mma_deterministic_and_dependent():
     g = a.grid
     shares = np.mean(g[1:, :] == g[:-1, :])
     assert shares > 0.1
+
+
+def test_mma_draws_keep_their_bits():
+    # seed-to-bits contract: SHA-256 of each draw's values, as the
+    # all-shells loop computes them
+    cases = {
+        "geometric(0.5) 40x40": ((40, 40), WeightSpec.geometric(0.5), 1),
+        "geometric(0.8) 12x12": ((12, 12), WeightSpec.geometric(0.8), 2),
+        "indicator_ball(1) 20x20": ((20, 20), WeightSpec.indicator_ball(1), 3),
+        "indicator_ball(3) 20x20": ((20, 20), WeightSpec.indicator_ball(3), 4),
+        "explicit, max off the origin, 15x15": (
+            (15, 15),
+            WeightSpec.explicit({(0, 0): 1.0, (1, -2): 2.0, (-3, 1): 0.5, (2, 2): 0.75}),
+            5,
+        ),
+        "geometric(0.5) 1-d 60": ((60,), WeightSpec.geometric(0.5), 6),
+        "geometric(0.5) 3-d 4x4x4": ((4, 4, 4), WeightSpec.geometric(0.5), 7),
+    }
+    digests = {
+        name: hashlib.sha256(sim_mma(dims, w, seed).values.tobytes()).hexdigest()
+        for name, (dims, w, seed) in cases.items()
+    }
+    assert digests == {
+        "geometric(0.5) 40x40": "f413a77d290afd1ab3ebb313341824b70de4fe5d0f688a07329d9fd347e1d38c",
+        "geometric(0.8) 12x12": "2da147badb2ac23202cd5bb76947c1c4b8b578579bd0e61504a7d5efef83ae1a",
+        "indicator_ball(1) 20x20": "910d93498ecdc6cedda841d3969068498d7d16ac72f92f2a8d0201d9b59c309d",
+        "indicator_ball(3) 20x20": "cffe2a0cd338c13e8e1bc96c6f1616f3b56f96a8c9eb17c757ef17db8aa1daf3",
+        "explicit, max off the origin, 15x15": "58c18a31389e9c5f10993feb7b2a96cc6b89d693ceccececc4122dad303aa098",
+        "geometric(0.5) 1-d 60": "d248ff8af1cc756aa6144895b022d3169c538080d75b48e62f381cd31aee88f3",
+        "geometric(0.5) 3-d 4x4x4": "ddd4b98c98da8ec75bef405026f75d9e346009958abe8a9dfafd08b422e48386",
+    }
+
+
+def _sim_mma_all_shells(dims, weights, seed):
+    """Reference: the same noise, every equal-weight shell, lightest first."""
+    d = len(dims)
+    offsets, wts = weights.support(d)
+    pad = tuple(int(np.abs(offsets[:, i]).max()) for i in range(d))
+    noise = _frechet(derive_rng(seed), tuple(n + 2 * p for n, p in zip(dims, pad)))
+    out = np.zeros(dims)
+    order = np.argsort(wts, kind="stable")
+    offsets = offsets[order]
+    wts = wts[order]
+    boundaries = np.flatnonzero(np.diff(wts)) + 1
+    for group in np.split(np.arange(len(wts)), boundaries):
+        shell = np.zeros(dims)
+        for k in group:
+            sl = tuple(
+                slice(p - int(o), p - int(o) + n)
+                for p, o, n in zip(pad, offsets[k], dims)
+            )
+            np.maximum(shell, noise[sl], out=shell)
+        np.maximum(out, wts[group[0]] * shell, out=out)
+    return out.ravel()
+
+
+@st.composite
+def _mma_cases(draw):
+    d = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=d, max_size=d)))
+    # a few shared weight values make multi-offset shells
+    weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(1e-3, 1e3))
+    offset = st.tuples(*[st.integers(-3, 3)] * d)
+    weights = draw(st.one_of(
+        st.builds(WeightSpec.explicit, st.dictionaries(offset, weight, min_size=1, max_size=12)),
+        st.builds(WeightSpec.geometric, st.floats(0.05, 0.95), st.floats(0.5, 4.0)),
+        st.builds(WeightSpec.indicator_ball, st.floats(0.0, 3.0)),
+    ))
+    return dims, weights, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_mma_cases())
+@settings(max_examples=150, deadline=None)
+def test_mma_pruned_shells_equal_all_shells_property(case):
+    dims, weights, seed = case
+    assert np.array_equal(sim_mma(dims, weights, seed).values, _sim_mma_all_shells(dims, weights, seed))
+
+
+def test_mma_empty_grid_names_the_grid():
+    for dims, w in [((0, 5), WeightSpec.geometric(0.5)),
+                    ((0, 5), WeightSpec.indicator_ball(0)),
+                    ((4, 0, 2), WeightSpec.indicator_ball(1)),
+                    ((0,), WeightSpec.explicit({(2,): 1.0}))]:
+        with pytest.raises(ValueError, match="all grid sides must be >= 1"):
+            sim_mma(dims, w, seed=0)
 
 
 def test_gaussian_increments_pinned_origin():
