@@ -42,7 +42,7 @@ from .fields import (
     derive_seed,
 )
 from .kernel import KernelPlan, KernelSpec, kernel_ese, kernel_ese_by_distance
-from .lattice import lattice_ese, lattice_ese_by_distance, lattice_plan
+from .lattice import LatticePlan, lattice_ese, lattice_ese_by_distance
 from .oracles import br_extremogram, br_pa_extremogram, mma_extremogram, mma_pa_extremogram
 from .results import EseResult
 from .simulate import (
@@ -65,6 +65,7 @@ __all__ = [
     "FrechetModel",
     "BrLatticeModel",
     "PointProcessModel",
+    "estimator_plan",
     "run_estimator",
     "permutation_bands",
     "mc_study",
@@ -106,24 +107,33 @@ class EstimatorConfig:
         return " ".join(parts)
 
 
-def run_estimator(data, set_a, set_b, rule, config: EstimatorConfig, lags) -> EseResult:
+def estimator_plan(data, config: EstimatorConfig, lags) -> LatticePlan | KernelPlan:
+    """The value-free geometry plan `run_estimator` evaluates on ``data``,
+    for ``lags`` in the same form; DomainError if the field is of the
+    wrong kind for ``config.mode``."""
+    if config.mode == "lattice":
+        if not isinstance(data, LatticeField):
+            raise DomainError("lattice mode requires a LatticeField input")
+        return LatticePlan(data.dims, lags, config.by_distance)
+    if not isinstance(data, PointField):
+        raise DomainError("kernel mode requires a PointField input")
+    return KernelPlan(data.locations, config.kernel, lags, config.by_distance)
+
+
+def run_estimator(data, set_a, set_b, rule, config: EstimatorConfig, lags,
+                  *, plan: LatticePlan | KernelPlan | None = None) -> EseResult:
     """Dispatch to the configured estimator.
 
     ``lags``: a list of vector lags normally; with ``by_distance`` a
     single max distance for lattice mode, or an explicit list of
     distances for kernel mode.
     """
+    plan = plan or estimator_plan(data, config, lags)
     if config.mode == "lattice":
-        if not isinstance(data, LatticeField):
-            raise DomainError("lattice mode requires a LatticeField input")
-        if config.by_distance:
-            return lattice_ese_by_distance(data, set_a, set_b, rule, float(lags))
-        return lattice_ese(data, set_a, set_b, rule, lags)
-    if not isinstance(data, PointField):
-        raise DomainError("kernel mode requires a PointField input")
-    if config.by_distance:
-        return kernel_ese_by_distance(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu)
-    return kernel_ese(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu)
+        estimate = lattice_ese_by_distance if config.by_distance else lattice_ese
+        return estimate(data, set_a, set_b, rule, lags, plan=plan)
+    estimate = kernel_ese_by_distance if config.by_distance else kernel_ese
+    return estimate(data, set_a, set_b, rule, config.kernel, lags, nu=config.nu, plan=plan)
 
 
 # Budget for the int64 site indices of one chunk of shuffles, so band
@@ -184,11 +194,8 @@ def permutation_bands(
         )
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    observed = run_estimator(data, set_a, set_b, rule, config, lags)
-    if config.mode == "lattice":
-        plan = lattice_plan(data.dims, lags, config.by_distance)
-    else:
-        plan = KernelPlan(data.locations, config.kernel, lags, config.by_distance)
+    plan = estimator_plan(data, config, lags)
+    observed = run_estimator(data, set_a, set_b, rule, config, lags, plan=plan)
     ind_a = set_a.indicator(data.values, observed.a_m)
     ind_b = set_b.indicator(data.values, observed.a_m)
     n = data.values.size

@@ -226,6 +226,7 @@ def kernel_tau_hat(
     kernel: KernelSpec,
     lags,
     nu: float | None = None,
+    *, plan: KernelPlan | None = None,
 ) -> KernelTau:
     """Weighted ordered-pair sums tau_hat(h) for each requested lag.
 
@@ -236,7 +237,7 @@ def kernel_tau_hat(
     """
     if pf.n_points < 2:
         raise EmptyField("kernel pair sums need at least 2 points")
-    plan = KernelPlan(pf.locations, kernel, lags)
+    plan = plan or KernelPlan(pf.locations, kernel, lags)
     nu_used = _resolve_nu(pf, nu)
     a_m, m = resolve_threshold(pf.values, rule)
     hits, sums = plan.counts(
@@ -262,6 +263,7 @@ def kernel_ese(
     kernel: KernelSpec,
     lags,
     nu: float | None = None,
+    *, plan: KernelPlan | None = None,
 ) -> EseResult:
     """Kernel extremogram rho_hat(h) = tau_hat(h) / p_hat per vector lag.
 
@@ -269,7 +271,7 @@ def kernel_ese(
     bandwidth too small to capture any pair yields all-zero rho with
     ``bandwidth_degenerate`` set rather than an error.
     """
-    taus = kernel_tau_hat(pf, set_a, set_b, rule, kernel, lags, nu)
+    taus = kernel_tau_hat(pf, set_a, set_b, rule, kernel, lags, nu, plan=plan)
     a_m, m, nu_used = taus.a_m, taus.m, taus.nu_used
     p_hat, n_a = _p_hat(pf, set_a, a_m, m, nu_used)
     if p_hat == 0.0:
@@ -319,6 +321,7 @@ def kernel_ese_by_distance(
     kernel: KernelSpec,
     distances,
     nu: float | None = None,
+    *, plan: KernelPlan | None = None,
 ) -> EseResult:
     """Isotropic kernel extremogram: rho averaged around each distance.
 
@@ -329,7 +332,8 @@ def kernel_ese_by_distance(
     over representatives.
     """
     dists = np.atleast_1d(distances).astype(float)
-    per_lag = kernel_ese(pf, set_a, set_b, rule, kernel, _rings(dists), nu)
+    plan = plan or KernelPlan(pf.locations, kernel, dists, by_distance=True)
+    per_lag = kernel_ese(pf, set_a, set_b, rule, kernel, plan.lags, nu, plan=plan)
     return replace(
         per_lag,
         lags=tuple(Lag.of(r, 0.0) for r in dists),

@@ -33,7 +33,7 @@ from .fields import (
 )
 from .results import EseResult
 
-__all__ = ["LatticePlan", "lattice_plan", "lattice_ese", "lattice_ese_by_distance"]
+__all__ = ["LatticePlan", "lattice_ese", "lattice_ese_by_distance"]
 
 
 def _lag_slices(dims, offset):
@@ -64,7 +64,9 @@ def _check_lag(dims: tuple[int, ...], lag: Lag) -> tuple[int, ...]:
 
 
 class LatticePlan:
-    """Value-free geometry of a lattice estimate on a grid of shape ``dims``.
+    """Value-free geometry of a lattice estimate on a grid of shape ``dims``:
+    of `lattice_ese` at vector ``lags`` or, with ``by_distance``, of
+    `lattice_ese_by_distance` at the max distance ``lags``.
 
     Holds, per lag, the slices picking the displaced and base sites and
     the pair count n(h); with ``by_distance`` the lags are pooled into
@@ -75,7 +77,7 @@ class LatticePlan:
 
     def __init__(self, dims, lags, by_distance: bool = False):
         dims = tuple(dims)
-        lag_list = list(lags)
+        lag_list = lag_grid(float(lags), len(dims)) if by_distance else [as_lag(h) for h in lags]
         if not lag_list:
             raise ValueError(
                 "no lags to estimate: give at least one lag, or a max distance of at least 1"
@@ -134,17 +136,6 @@ class LatticePlan:
         return self.rho(hits, observed.denom_rate)
 
 
-def lattice_plan(dims, lags, by_distance: bool = False) -> LatticePlan:
-    """Plan of `lattice_ese` at vector ``lags`` or, with ``by_distance``,
-    of `lattice_ese_by_distance` at the max distance ``lags``."""
-    if not by_distance:
-        return LatticePlan(dims, [as_lag(h) for h in lags])
-    max_dist = float(lags)
-    if not max_dist > 0:
-        raise ValueError(f"max_dist must be positive, got {max_dist}")
-    return LatticePlan(dims, lag_grid(max_dist, len(dims)), by_distance=True)
-
-
 def _estimate(field: LatticeField, set_a, set_b, rule, plan: LatticePlan) -> EseResult:
     a_m, m = resolve_threshold(field.values, rule)
     grid = field.grid
@@ -179,6 +170,7 @@ def lattice_ese(
     set_b: ExtremeSet,
     rule: ThresholdRule,
     lags,
+    *, plan: LatticePlan | None = None,
 ) -> EseResult:
     """Extremogram estimate at each requested vector lag.
 
@@ -190,7 +182,7 @@ def lattice_ese(
     scaled A set (a NaN here would silently poison any aggregation),
     and LagOutOfRange for non-integer lags or |h_i| >= n_i.
     """
-    return _estimate(field, set_a, set_b, rule, lattice_plan(field.dims, lags))
+    return _estimate(field, set_a, set_b, rule, plan or LatticePlan(field.dims, lags))
 
 
 def lattice_ese_by_distance(
@@ -199,6 +191,7 @@ def lattice_ese_by_distance(
     set_b: ExtremeSet,
     rule: ThresholdRule,
     max_dist: float,
+    *, plan: LatticePlan | None = None,
 ) -> EseResult:
     """Extremogram pooled over all integer lags of equal norm.
 
@@ -209,5 +202,5 @@ def lattice_ese_by_distance(
     is the lexicographically largest member of its class, e.g. (1,0)
     for distance 1 and (1,1) for sqrt 2.
     """
-    plan = lattice_plan(field.dims, max_dist, by_distance=True)
+    plan = plan or LatticePlan(field.dims, max_dist, by_distance=True)
     return _estimate(field, set_a, set_b, rule, plan)
