@@ -449,7 +449,7 @@ def _cmd_mc(args) -> int:
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,
         n_reps=args.reps, seed=args.seed,
     )
-    _write_or_print(args.out, fileio.write_mc, summary, fileio._mc_stdout(summary))
+    _write_or_print(args.out, fileio.write_mc, summary, fileio._mc_stdout(summary, config.by_distance))
     return 0
 
 

@@ -440,13 +440,18 @@ def _mc_columns(summary: McSummary):
             [summary.mean, summary.variance, *(summary.quantiles[q] for q in qs)])
 
 
-def _mc_stdout(summary: McSummary) -> str:
-    """The CLI's ``mc`` table: rows keyed by a short distance, oracles when known."""
+def _mc_stdout(summary: McSummary, by_distance: bool) -> str:
+    """The CLI's ``mc`` table, oracles when known: rows keyed by a short
+    distance or, for vector lags, by the lag itself."""
     names, columns = _mc_columns(summary)
     if summary.oracle_pa is not None:
         names += ["oracle_limit", "oracle_pa"]
         columns += [summary.oracle_limit, summary.oracle_pa]
-    return _table(["distance", *names], [np.char.mod("%g", summary.distances), *columns])
+    if by_distance:
+        return _table(["distance", *names], [np.char.mod("%g", summary.distances), *columns])
+    # a label such as (1,0) holds commas, so its cell is quoted
+    labels = np.array([f'"{lag.label()}"' for lag in summary.lags], dtype=str)
+    return _table(["lag", *names], [labels, *columns])
 
 
 def _rate_table(rate: RateCheck) -> str:

@@ -3,12 +3,13 @@
 The permutation bands answer "is there any spatial dependence among
 these values at all": values are shuffled uniformly over the fixed
 locations, each shuffle is estimated, and the pooled quantiles of the
-shuffled estimates form a flat null envelope.  Every shuffle is
-counted over one geometry plan from the observed indicators.  The
-Monte Carlo harness and the rate check share one replicate loop that
-repeats simulate->estimate with derived per-replicate seeds and
-aggregates; the harness attaches closed-form limit and finite-m
-reference values when the model has them.
+shuffled estimates form a flat null envelope.  The observed estimate
+and every shuffle are counted over one geometry plan, the shuffles
+from the observed indicators.  The Monte Carlo harness and the rate
+check share one replicate loop that repeats simulate->estimate with
+derived per-replicate seeds and aggregates; the harness attaches
+closed-form limit and finite-m reference values when the model has
+them.
 
 Both are plain sequential loops over independent tasks; every task
 draws its randomness from a stream derived from (seed, task index), so
@@ -126,7 +127,9 @@ def run_estimator(data, set_a, set_b, rule, config: EstimatorConfig, lags,
 
     ``lags``: a list of vector lags normally; with ``by_distance`` a
     single max distance for lattice mode, or an explicit list of
-    distances for kernel mode.
+    distances for kernel mode.  ``plan`` is ``estimator_plan(data,
+    config, lags)`` built beforehand, so that several estimates can
+    share it; it is used as given and does not change the output.
     """
     plan = plan or estimator_plan(data, config, lags)
     if config.mode == "lattice":
@@ -181,12 +184,14 @@ def permutation_bands(
     independent of execution order.  A shuffle keeps the value
     multiset, so the threshold, m and the denominator of every permuted
     estimate equal those of the observed one: once the observed
-    estimate succeeds, no permutation can degenerate.  Shuffle p's
+    estimate succeeds, no permutation can degenerate.  The observed
+    estimate and every shuffle run over one geometry plan,
+    ``estimator_plan(data, config, lags)``, built once.  Shuffle p's
     indicators are the observed ones gathered through
     ``derive_rng(seed, p).permutation(n)``, the same shuffle as permuting
-    the values with that stream, and are counted over one geometry plan
-    in chunks of bounded memory: the result is the same as estimating
-    each shuffled field on its own.
+    the values with that stream, and are counted over that plan in
+    chunks of bounded memory: the result is the same as estimating each
+    shuffled field on its own.
     """
     if n_perm < 100:
         raise TooFewPermutations(

@@ -234,6 +234,10 @@ def kernel_tau_hat(
     |h + s_i - s_j| <= bandwidth/2 (found by querying a KD-tree of the
     locations at the shifted positions s_i + h); the A indicator is
     evaluated at point i and the B indicator at point j.
+
+    ``plan`` is ``KernelPlan(pf.locations, kernel, lags)`` built
+    beforehand, so that several estimates can share it; it is used as
+    given, in place of ``lags``, and does not change the output.
     """
     if pf.n_points < 2:
         raise EmptyField("kernel pair sums need at least 2 points")
@@ -270,6 +274,9 @@ def kernel_ese(
     DegenerateDenominator when no point lands in the scaled A set.  A
     bandwidth too small to capture any pair yields all-zero rho with
     ``bandwidth_degenerate`` set rather than an error.
+
+    ``plan`` is as in :func:`kernel_tau_hat`: used as given, in place
+    of ``lags``, without changing the output.
     """
     taus = kernel_tau_hat(pf, set_a, set_b, rule, kernel, lags, nu, plan=plan)
     a_m, m, nu_used = taus.a_m, taus.m, taus.nu_used
@@ -330,6 +337,10 @@ def kernel_ese_by_distance(
     rho_hat(r) is the plain average of the per-representative
     estimates (they share the denominator p_hat).  Counts are summed
     over representatives.
+
+    ``plan`` is ``KernelPlan(pf.locations, kernel, distances,
+    by_distance=True)`` built beforehand; it is used as given, in place
+    of the rings of ``distances``, and does not change the output.
     """
     dists = np.atleast_1d(distances).astype(float)
     plan = plan or KernelPlan(pf.locations, kernel, dists, by_distance=True)

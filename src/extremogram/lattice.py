@@ -181,6 +181,10 @@ def lattice_ese(
     Raises DegenerateDenominator when no site at all lands in the
     scaled A set (a NaN here would silently poison any aggregation),
     and LagOutOfRange for non-integer lags or |h_i| >= n_i.
+
+    ``plan`` is ``LatticePlan(field.dims, lags)`` built beforehand, so
+    that several estimates can share it; it is used as given, in place
+    of ``lags``, and does not change the output.
     """
     return _estimate(field, set_a, set_b, rule, plan or LatticePlan(field.dims, lags))
 
@@ -201,6 +205,10 @@ def lattice_ese_by_distance(
     ones.  Rows are sorted by distance; each row's representative lag
     is the lexicographically largest member of its class, e.g. (1,0)
     for distance 1 and (1,1) for sqrt 2.
+
+    ``plan`` is ``LatticePlan(field.dims, max_dist, by_distance=True)``
+    built beforehand; it is used as given, in place of ``max_dist``,
+    and does not change the output.
     """
     plan = plan or LatticePlan(field.dims, max_dist, by_distance=True)
     return _estimate(field, set_a, set_b, rule, plan)

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output contracts, end-to-end flows."""
+import csv
 import json
 
 import numpy as np
@@ -191,6 +192,20 @@ def test_mc_stdout_table(capsys):
     assert lines[0].startswith("distance,mean,variance,q2.5,")
     assert lines[0].endswith("oracle_limit,oracle_pa")
     assert len(lines) == 4  # distances 1, sqrt2, 2
+
+
+def test_mc_stdout_keys_vector_lags_by_lag(capsys):
+    # (1,0) and (0,1) share distance 1; their rows must still be told apart
+    for dims, lags, labels in [("12,12", "1,0;0,1;", ["(1,0)", "(0,1)"]),
+                               ("4,4,4", "1,0,0;0,0,1;", ["(1,0,0)", "(0,0,1)"])]:
+        code, out, _ = run(capsys, "mc", "--model", "frechet", "--dims", dims,
+                           "--lags", lags, "--no-by-distance", "--reps", "4",
+                           "--seed", "0", "--threshold", "q=0.9")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0][:2] == ["lag", "mean"]
+        assert [row[0] for row in rows[1:]] == labels
+        assert all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_mc_writes_file(tmp_path, capsys):

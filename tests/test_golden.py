@@ -76,7 +76,7 @@ GOLDEN = {
     "mc_by_distance_out stdout":
         "df70e482719425dae71fe1922064db179807227dc7c7bf49a68eb2475168dc19",
     "mc_vectors stdout":
-        "6fc624c6e5a6b6abea621a3a80c2b52b73a94ef07232238c1f82f815ff46c706",
+        "7a33b003cce1449c5fbdaba15ff2df335e1880cda3358bc08bc5576f977534fc",
     "mc_vectors_out stdout":
         "b0a9d8900b2ee484e350043050d21e6a16df7dae54c08b99daa2cf21a1638326",
     "mc_3d stdout":

@@ -9,6 +9,7 @@ from extremogram import (
     BrSimConfig,
     DegenerateDenominator,
     DomainError,
+    EmptyField,
     EstimatorConfig,
     ExtremeSet,
     FrechetModel,
@@ -32,7 +33,10 @@ from extremogram import (
     derive_rng,
     derive_seed,
     kernel_ese,
+    kernel_ese_by_distance,
+    kernel_tau_hat,
     lattice_ese,
+    lattice_ese_by_distance,
     mc_study,
     mma1_extremogram,
     mma1_pa_extremogram,
@@ -42,7 +46,9 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
-from extremogram.inference import _CHUNK_BYTES
+from extremogram.inference import _CHUNK_BYTES, estimator_plan
+from extremogram.kernel import KernelPlan
+from extremogram.lattice import LatticePlan
 
 RAY = ExtremeSet.ray(1.0)
 Q90 = ThresholdRule.quantile(0.9)
@@ -195,6 +201,94 @@ def test_bands_equal_per_permutation_reference(case):
     assert band.per_lag == tuple(zip(col_lo.tolist(), col_hi.tolist()))
     assert np.array_equal(band.observed.rho_hat,
                           run_estimator(data, set_a, set_b, rule, config, lags).rho_hat)
+
+
+def _count_builds(monkeypatch, cls, built):
+    """Record the class name of every ``cls`` built, however it is bound."""
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(cls.__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+
+
+@pytest.mark.parametrize("case", ["vector-lags", "by-distance", "kernel", "kernel-by-distance"])
+def test_band_builds_one_plan(case, monkeypatch):
+    make, set_a, set_b, rule, config, lags, n_perm = BAND_CASES[case]
+    data = make()
+    built = []
+    _count_builds(monkeypatch, LatticePlan, built)
+    _count_builds(monkeypatch, KernelPlan, built)
+    permutation_bands(data, set_a, set_b, rule, config, lags, n_perm=n_perm, seed=7)
+    assert built == ["LatticePlan" if config.mode == "lattice" else "KernelPlan"]
+
+
+def _assert_same_estimate(a, b):
+    for name in ("rho_hat", "pair_count", "exceed_count", "distances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.lags == b.lags
+
+
+ESTIMATORS = {
+    ("lattice", False): lattice_ese,
+    ("lattice", True): lattice_ese_by_distance,
+    ("kernel", False): kernel_ese,
+    ("kernel", True): kernel_ese_by_distance,
+}
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_a_prebuilt_plan_changes_no_estimate(case):
+    make, set_a, set_b, rule, config, lags, _ = BAND_CASES[case]
+    data = make()
+    plan = estimator_plan(data, config, lags)
+    _assert_same_estimate(run_estimator(data, set_a, set_b, rule, config, lags, plan=plan),
+                          run_estimator(data, set_a, set_b, rule, config, lags))
+    estimate = ESTIMATORS[config.mode, config.by_distance]
+    if config.mode == "lattice":
+        _assert_same_estimate(estimate(data, set_a, set_b, rule, lags, plan=plan),
+                              estimate(data, set_a, set_b, rule, lags))
+        return
+    args = (data, set_a, set_b, rule, config.kernel)
+    _assert_same_estimate(estimate(*args, lags, config.nu, plan=plan),
+                          estimate(*args, lags, config.nu))
+    with_plan = kernel_tau_hat(*args, plan.lags, config.nu, plan=plan)
+    without = kernel_tau_hat(*args, plan.lags, config.nu)
+    for name in ("tau", "pair_count", "exceed_count"):
+        assert np.array_equal(getattr(with_plan, name), getattr(without, name)), name
+    assert with_plan.lags == without.lags
+    assert with_plan.degenerate == without.degenerate
+
+
+def test_bands_refuse_a_field_of_the_wrong_kind():
+    with pytest.raises(DomainError):
+        permutation_bands(_points60(), RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_perm=100)
+    with pytest.raises(DomainError):
+        permutation_bands(_mma15(), RAY, RAY, Q90, KBOX, [Lag.of(1.0, 0.0)], n_perm=100)
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_kernel_by_distance_on_too_few_points_is_an_empty_field(n_points):
+    pf = PointField(np.full((n_points, 2), 1.0), np.full(n_points, 2.0), (0, 2, 0, 2))
+    kbd = EstimatorConfig(mode="kernel", kernel=KBOX.kernel, by_distance=True)
+    with pytest.raises(EmptyField):
+        kernel_ese_by_distance(pf, RAY, RAY, Q90, KBOX.kernel, [1.0])
+    with pytest.raises(EmptyField):
+        run_estimator(pf, RAY, RAY, Q90, kbd, [1.0])
+
+
+@pytest.mark.parametrize("by_distance", [False, True])
+def test_mc_study_counts_point_draws_too_small_to_pair(by_distance):
+    # intensity 3 on the unit square: about one draw in five holds 0 or 1 points
+    model = PointProcessModel((0, 1, 0, 1), CountRule.poisson(3.0), FieldSource.frechet_iid())
+    config = EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1.0), by_distance=by_distance)
+    lags = [0.3] if by_distance else [Lag.of(0.3, 0.0)]
+    s = mc_study(model, RAY, RAY, Q90, config, lags, n_reps=20, seed=0)
+    small = sum(model.simulate(derive_seed(0, r)).n_points < 2 for r in range(20))
+    assert small > 0 and s.n_failed >= small
+    assert s.n_used + s.n_failed == 20
 
 
 def test_bands_collapse_when_everything_exceeds():
