@@ -9,10 +9,13 @@ concentrated on a disc of radius bandwidth/2.  The estimate is
     p_hat      = (m / (nu |S|))  #{i: value in a_m A}
 
 with |S| the area of the sampling rectangle and nu the point intensity
-(measured, or the plug-in N/|S|).  A KD-tree restricts the double sum
-to pairs inside the kernel support; weight contributions are summed in
-ascending order, so results are independent of point storage order and
-bit-identical to a brute-force double loop that sums the same way.
+(measured, or the plug-in N/|S|).  Per lag h, one query between a
+KD-tree of the shifted points s_i + h and a KD-tree of the points s_j
+returns the candidate pairs (i, j) as index arrays, which restricts the
+double sum to pairs inside the kernel support; weight contributions are
+summed in ascending order, so results are independent of point storage
+order and bit-identical to a brute-force double loop that sums the same
+way.
 
 Every estimate runs over one value-free :class:`KernelPlan`; values
 enter only as indicator vectors with a leading batch axis, so the same
@@ -21,7 +24,6 @@ plan counts one field or a whole batch of shuffles of it.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -161,6 +163,12 @@ class KernelPlan:
     with ``by_distance``, at the rings of the distances ``lags``: per
     lag, the ordered pairs (i, j), i != j, inside the kernel support and
     their weights w_n, ascending, so masked sums add in ascending order.
+
+    Candidates for lag h come as index arrays from
+    ``cKDTree.sparse_distance_matrix`` between the shifted points s_i + h
+    and the points s_j, at a radius slightly above the support's; the
+    support test ``|(s_i - s_j) + h|^2 / lambda^2 <= 1/4`` then decides
+    membership.
     """
 
     def __init__(self, locations: np.ndarray, kernel: KernelSpec, lags, by_distance: bool = False):
@@ -168,7 +176,6 @@ class KernelPlan:
         self.lags = tuple(as_lag(h, d=2) for h in (_rings(lags) if by_distance else lags))
         if not self.lags:
             raise ValueError("no lags to estimate: give at least one lag or distance")
-        n = len(locations)
         tree = cKDTree(locations)
         lam = kernel.bandwidth
         self._pairs = []
@@ -177,14 +184,10 @@ class KernelPlan:
             # slightly inflated query; membership is then decided from the
             # sign-symmetric difference (s_i - s_j) + h, whose negation is
             # exact, so tau(h) == tau(-h) holds bit-for-bit when A == B
-            neighbor_lists = tree.query_ball_point(
-                locations + h_vec, r=kernel.support_radius * (1.0 + 1e-9)
+            near = cKDTree(locations + h_vec).sparse_distance_matrix(
+                tree, kernel.support_radius * (1.0 + 1e-9), output_type="ndarray"
             )
-            counts = np.fromiter(
-                (len(js) for js in neighbor_lists), dtype=np.int64, count=n
-            )
-            idx_i = np.repeat(np.arange(n), counts)
-            idx_j = np.fromiter(chain.from_iterable(neighbor_lists), np.int64, counts.sum())
+            idx_i, idx_j = near["i"], near["j"]
             scaled_diffs = ((locations[idx_i] - locations[idx_j]) + h_vec) / lam
             nsq = np.sum(scaled_diffs * scaled_diffs, axis=1)
             inside = (idx_i != idx_j) & (nsq <= 0.25)
@@ -231,9 +234,10 @@ def kernel_tau_hat(
     """Weighted ordered-pair sums tau_hat(h) for each requested lag.
 
     For lag h, the pairs visited are exactly those with
-    |h + s_i - s_j| <= bandwidth/2 (found by querying a KD-tree of the
-    locations at the shifted positions s_i + h); the A indicator is
-    evaluated at point i and the B indicator at point j.
+    |h + s_i - s_j| <= bandwidth/2 (the pairs of :class:`KernelPlan`,
+    found by one KD-tree query between the shifted positions s_i + h and
+    the locations); the A indicator is evaluated at point i and the B
+    indicator at point j.
 
     ``plan`` is ``KernelPlan(pf.locations, kernel, lags)`` built
     beforehand, so that several estimates can share it; it is used as

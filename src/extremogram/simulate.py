@@ -52,6 +52,9 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 _PHI_CLIP = 1.0 - 1e-16  # keep Phi(z) away from 1 before taking logs
+# scipy's ndtr can drop between arguments a few ULPs apart; past this gap
+# it is monotone (see _sim_br_gaussian_max)
+_TIE_MARGIN = 1e-10
 _JITTER = 1e-10  # added to a covariance diagonal before it is factored
 _TAIL_TOL = 1e-12  # geometric weights: tail mass left beyond the truncation
 
@@ -235,6 +238,12 @@ class BrSimConfig:
     ``1 / (1 + delta(d_N*|h|))`` with ``d_N = (1/log N)^(1/alpha)``, so that
     ``log(N) * (1 - corr(h)) -> delta(h)`` (Husler & Reiss 1989) and the
     target variogram is approached from below as N grows.
+
+    The Frechet transform ``-1/log(Phi(g))`` is monotone in g, so
+    gaussian_max applies it to each site's largest Gaussian only, not to
+    all N; a site whose runner-up lies within 1e-10 of its largest, where
+    rounding in Phi could reorder them, transforms all N.  The values equal
+    the transform-then-max bit for bit.
     """
 
     method: str
@@ -262,15 +271,19 @@ class BrSimConfig:
 
 @dataclass(frozen=True)
 class BrSimResult:
-    """Brown-Resnick draw: values per site plus the truncation diagnostic.
+    """Brown-Resnick draw: values per site plus the method's diagnostic.
 
     ``truncation_fraction`` is the fraction of sites where the J-th spectral
     term still exceeds 1% of the running maximum (None for gaussian_max).
+    ``clip_fraction`` is the fraction of sites whose largest Gaussian had
+    Phi(g) clipped to ``1 - 1e-16`` before the Frechet transform, which caps
+    the value there (None for spectral).
     """
 
     values: np.ndarray
     truncation_fraction: float | None
     method: str
+    clip_fraction: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +462,36 @@ def _sim_br_spectral(sites, vario, config, rng):
     )
 
 
+def _gauss_to_frechet(gauss):
+    """-1/log(min(Phi(g), _PHI_CLIP)): standard normal to unit Frechet."""
+    with np.errstate(divide="ignore"):
+        return -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
+
+
 def _sim_br_gaussian_max(sites, vario, config, rng):
+    """Max over N correlated Gaussians per site, Frechet-transformed, over N.
+
+    The transform runs on each row's max alone.  That equals the max of the
+    transformed row because the transform is monotone: ``min``, ``log`` and
+    ``-1/x`` are, and ``ndtr`` is between arguments more than
+    ``_TIE_MARGIN`` apart.  Closer than that it can drop by an ULP, so a row
+    with a second entry within ``_TIE_MARGIN`` of its max is transformed
+    whole before its max is taken.
+    """
     n_rep = config.n_gaussians
     d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
     factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _pair_distances(sites))))
     gauss = factor @ rng.standard_normal((len(sites), n_rep))
-    u = np.minimum(ndtr(gauss), _PHI_CLIP)
-    with np.errstate(divide="ignore"):
-        frechet = -1.0 / np.log(u)
-    values = frechet.max(axis=1) / n_rep
-    return BrSimResult(values=values, truncation_fraction=None, method="gaussian_max")
+    top = gauss.max(axis=1)
+    values = _gauss_to_frechet(top)
+    near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
+    values[near] = _gauss_to_frechet(gauss[near]).max(axis=1)
+    return BrSimResult(
+        values=values / n_rep,
+        truncation_fraction=None,
+        method="gaussian_max",
+        clip_fraction=float(np.mean(ndtr(top) >= _PHI_CLIP)) if len(sites) else 0.0,
+    )
 
 
 def _sim_br(sites, vario, config, rng) -> BrSimResult:

@@ -26,6 +26,7 @@ from extremogram import (
     resolve_threshold,
     sim_point_field,
 )
+from extremogram.kernel import KernelPlan
 
 RAY = ExtremeSet.ray(1.0)
 
@@ -301,3 +302,50 @@ def test_no_lags_is_a_value_error():
         kernel_ese(pf, RAY, RAY, rule, spec, [])
     with pytest.raises(ValueError, match="no lags"):
         kernel_ese_by_distance(pf, RAY, RAY, rule, spec, [])
+
+
+def _assert_plan_matches_double_loop(pf, sets, rule, kernel, plan):
+    res = kernel_tau_hat(pf, *sets, rule, kernel, plan.lags, plan=plan)
+    for k, lag in enumerate(plan.lags):
+        tau, pairs, hits = brute_tau(pf, *sets, rule, kernel, lag)
+        assert (res.tau[k], res.pair_count[k], res.exceed_count[k]) == (tau, pairs, hits), lag
+
+
+def _grid_field(side, seed):
+    axis = np.arange(float(side))
+    locs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = derive_rng(seed).pareto(1.0, size=len(locs)) + 1.0
+    return PointField(locs, vals, (0.0, side, 0.0, side))
+
+
+@pytest.mark.parametrize("shape", ["box", "epanechnikov"])
+def test_plan_on_the_support_boundary_equals_double_loop(shape):
+    # integer points, bandwidth 2, lag (1, 0): every unit step lands with
+    # |d / lambda|^2 == 0.25 exactly, on the edge of the support
+    pf = _grid_field(6, seed=20)
+    kernel = KernelSpec(shape, 2.0)
+    plan = KernelPlan(pf.locations, kernel, [Lag.of(1.0, 0.0), Lag.of(0.0, 0.0)])
+    assert plan.pair_count[0] > pf.n_points  # boundary pairs are counted
+    sets = (RAY, ExtremeSet(1.0, 2.5))
+    _assert_plan_matches_double_loop(pf, sets, ThresholdRule.quantile(0.5), kernel, plan)
+
+
+def test_plan_with_coincident_points_equals_double_loop():
+    base = scatter(20, seed=21, side=3.0)
+    locs = np.concatenate([base.locations, base.locations[:6], base.locations[:2]])
+    vals = derive_rng(22).pareto(1.0, size=len(locs)) + 1.0
+    pf = PointField(locs, vals, base.region)
+    kernel = KernelSpec.epanechnikov(0.8)
+    lags = [Lag.of(0.0, 0.0), Lag.of(0.5, -0.25), Lag.of(-0.5, 0.25)]
+    plan = KernelPlan(pf.locations, kernel, lags)
+    assert plan.pair_count[0] >= 2 * 8  # each copy pairs with its original at lag 0
+    for sets in [(RAY, RAY), (RAY, ExtremeSet(1.0, 2.5)), (ExtremeSet(1.0, 2.5), RAY)]:
+        _assert_plan_matches_double_loop(pf, sets, ThresholdRule.quantile(0.6), kernel, plan)
+
+
+def test_by_distance_plan_at_ten_distances_equals_double_loop():
+    pf = scatter(30, seed=23, side=12.0)
+    kernel = KernelSpec.box(2.5)
+    plan = KernelPlan(pf.locations, kernel, range(1, 11), by_distance=True)
+    assert len(plan.lags) == 80 and np.all(plan.pair_count[-8:] > 0)
+    _assert_plan_matches_double_loop(pf, (RAY, ExtremeSet(1.0, 3.0)), ThresholdRule.quantile(0.7), kernel, plan)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from extremogram import (
     BrLatticeModel,
@@ -28,7 +29,14 @@ from extremogram import (
 )
 from extremogram.fields import derive_rng
 from extremogram.inference import centered_grid_sites
-from extremogram.simulate import _frechet, _pair_distances
+from extremogram.simulate import (
+    _PHI_CLIP,
+    _TIE_MARGIN,
+    _frechet,
+    _pair_distances,
+    _psd_factor,
+    _sim_br_gaussian_max,
+)
 
 
 def frechet_cdf(x, scale=1.0):
@@ -236,6 +244,77 @@ def test_brown_resnick_draws_keep_their_bits():
     assert digest == "a35c60ce3f0118dfebceef456a3e032ceb3f7f766f4e735185503492b1009420"
 
 
+class _FixedNormals:
+    """Stands in for a Generator whose standard normals are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def standard_normal(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+def _gaussian_max_reference(sites, vario, config, rng):
+    """Transform every Gaussian to Frechet, then take each site's max."""
+    n_rep = config.n_gaussians
+    d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
+    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _pair_distances(sites))))
+    gauss = factor @ rng.standard_normal((len(sites), n_rep))
+    with np.errstate(divide="ignore"):
+        frechet = -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
+    return frechet.max(axis=1) / n_rep
+
+
+@st.composite
+def _gaussian_max_cases(draw):
+    coord = st.floats(0.0, 5.0)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=25))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    sites = np.array(points, dtype=float).reshape(-1, 2)
+    vario = VariogramSpec(draw(st.floats(0.1, 3.0)), draw(st.floats(0.2, 2.0)))
+    config = BrSimConfig.gaussian_max(draw(st.integers(2, 200)))
+    return sites, vario, config, draw(st.integers(0, 2**32 - 1))
+
+
+@given(_gaussian_max_cases())
+@settings(max_examples=120, deadline=None)
+def test_gaussian_max_equals_transform_then_max_property(case):
+    sites, vario, config, seed = case
+    got = sim_brown_resnick(sites, vario, config, seed=seed).values
+    assert np.array_equal(got, _gaussian_max_reference(sites, vario, config, derive_rng(seed)))
+
+
+def test_gaussian_max_transforms_a_near_tie_row_whole():
+    # find x whose next float has a lower Phi after the one-site factor
+    # sqrt(1 + jitter): there, the transform of the row max is not the max
+    # of the transformed row, and only the guarded fallback is exact
+    site = np.zeros((1, 2))
+    vario = VariogramSpec(1.0, 1.0)
+    rng = np.random.default_rng(0)
+    for x in rng.uniform(1.0, 2.0, 10_000):
+        rows = np.array([[x, np.nextafter(x, np.inf), -1.0]])
+        config = BrSimConfig.gaussian_max(rows.shape[1])
+        expected = _gaussian_max_reference(site, vario, config, _FixedNormals(rows))
+        gauss = _psd_factor(np.ones((1, 1))) @ rows
+        shortcut = -1.0 / np.log(np.minimum(ndtr(gauss.max()), _PHI_CLIP)) / rows.shape[1]
+        if shortcut != expected[0]:
+            break
+    else:
+        pytest.fail("no near-tie row found in 10,000 tries")
+    got = _sim_br_gaussian_max(site, vario, config, _FixedNormals(rows)).values
+    assert np.array_equal(got, expected)
+
+
+def test_ndtr_is_monotone_across_the_tie_margin():
+    # the gaussian_max shortcut rests on this: a scipy whose ndtr can drop
+    # across a gap of _TIE_MARGIN would make it inexact
+    x = np.random.default_rng(0).uniform(-38.0, 9.0, 1_000_000)
+    for gap in (_TIE_MARGIN, 3 * _TIE_MARGIN, 1e3 * _TIE_MARGIN):
+        assert np.all(ndtr(x + gap) >= ndtr(x)), gap
+
+
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -267,9 +346,20 @@ def test_brown_resnick_result_diagnostics():
     spec = sim_brown_resnick(sites, vario, BrSimConfig.spectral(), seed=0)
     assert spec.method == "spectral"
     assert 0.0 <= spec.truncation_fraction <= 1.0
+    assert spec.clip_fraction is None
     gmax = sim_brown_resnick(sites, vario, BrSimConfig.gaussian_max(), seed=0)
     assert gmax.method == "gaussian_max"
     assert gmax.truncation_fraction is None
+    assert gmax.clip_fraction == 0.0  # the max of 1600 normals stays far below 8
+    # Phi(9) rounds past the clip: of two nearly independent sites, the
+    # first is capped there
+    far_apart = np.array([[0.0, 0.0], [100.0, 0.0]])
+    rows = np.array([[9.0, 0.0, -1.0], [1.0, 0.5, 2.0]])
+    clipped = _sim_br_gaussian_max(far_apart, vario, BrSimConfig.gaussian_max(3), _FixedNormals(rows))
+    assert clipped.clip_fraction == 0.5
+    assert clipped.values[0] == -1.0 / np.log(_PHI_CLIP) / 3
+    empty = sim_brown_resnick(np.empty((0, 2)), vario, BrSimConfig.gaussian_max(), seed=0)
+    assert empty.values.shape == (0,) and empty.clip_fraction == 0.0
 
 
 def test_variogram_spec():
