@@ -17,6 +17,7 @@ on execution order or worker count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "as_lag",
     "derive_rng",
     "derive_seed",
+    "grid_sides",
     "lag_grid",
     "resolve_threshold",
 ]
@@ -62,6 +64,16 @@ def derive_seed(seed: int, *key: int) -> int:
 # data containers
 
 
+def grid_sides(dims) -> tuple[int, ...]:
+    """Grid side lengths as ints; ValueError naming ``dims`` for a side
+    that is not an integer (numpy integers are accepted, 3.5 is not
+    truncated to 3)."""
+    try:
+        return tuple(operator.index(n) for n in dims)
+    except TypeError:
+        raise ValueError(f"grid sides must be integers, got {dims}") from None
+
+
 def _frozen_float_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if shape is not None:
@@ -87,7 +99,7 @@ class LatticeField:
     values: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = grid_sides(self.dims)
         if not 1 <= len(dims) <= 3:
             raise ValueError(f"lattice dimension must be 1..3, got {len(dims)}")
         if any(n < 1 for n in dims):

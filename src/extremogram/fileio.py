@@ -426,6 +426,7 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
         "n_reps": summary.n_reps,
         "n_used": summary.n_used,
         "n_failed": summary.n_failed,
+        "failed_by_reason": summary.failed_by_reason,
         "mean_m": summary.mean_m,
     }
     if extra_meta:

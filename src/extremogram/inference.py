@@ -18,7 +18,9 @@ a task's result does not depend on which tasks ran before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +43,17 @@ from .fields import (
     as_lag,
     derive_rng,
     derive_seed,
+    grid_sides,
 )
 from .kernel import KernelPlan, KernelSpec, kernel_ese, kernel_ese_by_distance
 from .lattice import LatticePlan, lattice_ese, lattice_ese_by_distance
 from .oracles import br_extremogram, br_pa_extremogram, mma_extremogram, mma_pa_extremogram
 from .results import EseResult
 from .simulate import (
+    BrPlan,
     BrSimConfig,
     FieldSource,
+    MmaPlan,
     VariogramSpec,
     WeightSpec,
     sim_brown_resnick,
@@ -235,13 +240,21 @@ _RAY = ExtremeSet.ray(1.0)
 
 @dataclass(frozen=True)
 class MmaModel:
-    """Max-moving-average field on a lattice."""
+    """Max-moving-average field on a lattice.
+
+    The :class:`MmaPlan` of the weights is built on the first draw and
+    kept for every later one.
+    """
 
     dims: tuple
     weights: WeightSpec
 
+    @cached_property
+    def plan(self) -> MmaPlan:
+        return MmaPlan(self.weights, len(self.dims))
+
     def simulate(self, seed: int) -> LatticeField:
-        return sim_mma(self.dims, self.weights, seed)
+        return sim_mma(self.dims, self.weights, seed, plan=self.plan)
 
     def oracle_limit(self, lag: Lag) -> float:
         return mma_extremogram(self.weights, lag)
@@ -274,7 +287,7 @@ class FrechetModel:
 
 def centered_grid_sites(dims, spacing: float) -> np.ndarray:
     """Planar grid coordinates centered on the origin, row-major order."""
-    nx, ny = dims
+    nx, ny = grid_sides(dims)
     xs = (np.arange(nx) - (nx - 1) / 2.0) * spacing
     ys = (np.arange(ny) - (ny - 1) / 2.0) * spacing
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -289,7 +302,10 @@ class BrLatticeModel:
     lookups convert grid-step lags to physical distance.  The grid is
     centered on the origin because the spectral simulator's truncation
     error grows with the variogram at the site, i.e. with distance
-    from the origin.
+    from the origin.  The sites and their :class:`BrPlan` are built on
+    the first draw and kept for every later one; a covariance that
+    cannot be factored fails that draw, and every later one, with
+    FactorizationFailure.
     """
 
     dims: tuple
@@ -297,12 +313,22 @@ class BrLatticeModel:
     config: BrSimConfig
     spacing: float = 1.0
 
-    @property
+    def __post_init__(self):
+        if len(grid_sides(self.dims)) != 2:
+            raise ValueError(f"Brown-Resnick lattice needs 2 sides, got dims {self.dims}")
+
+    @cached_property
     def sites(self) -> np.ndarray:
-        return centered_grid_sites(self.dims, self.spacing)
+        sites = centered_grid_sites(self.dims, self.spacing)
+        sites.setflags(write=False)
+        return sites
+
+    @cached_property
+    def plan(self) -> BrPlan:
+        return BrPlan(self.sites, self.vario, self.config)
 
     def simulate(self, seed: int) -> LatticeField:
-        result = sim_brown_resnick(self.sites, self.vario, self.config, seed=seed)
+        result = sim_brown_resnick(self.sites, self.vario, self.config, seed=seed, plan=self.plan)
         return LatticeField(self.dims, result.values)
 
     def _physical(self, lag: Lag) -> Lag:
@@ -359,7 +385,8 @@ class McSummary:
     columns are filled when the model provides closed forms and both
     sets are the exceedance ray (1, inf); otherwise None.  ``mean_m``
     is the average tail index across usable replicates (constant for
-    quantile rules).
+    quantile rules).  ``failed_by_reason`` counts the failed replicates
+    by exception class name.
     """
 
     lags: tuple[Lag, ...]
@@ -375,6 +402,7 @@ class McSummary:
     mean_m: float
     oracle_limit: np.ndarray | None = None
     oracle_pa: np.ndarray | None = None
+    failed_by_reason: dict = field(default_factory=dict)
 
 
 def _describe(model) -> str:
@@ -424,7 +452,9 @@ def _replicates(model, set_a, set_b, rule, config, lags, n_reps, seed, key):
             kept.append(run_estimator(data, set_a, set_b, rule, config, lags))
         except _DRAW_ERRORS as exc:
             failures.append(exc.with_traceback(None))  # its frames would pin the draw
+    reasons = Counter(type(exc).__name__ for exc in failures)
     common = dict(n_reps=n_reps, n_used=len(kept), n_failed=len(failures),
+                  failed_by_reason=dict(sorted(reasons.items())),
                   model=_describe(model), estimator=config.label())
     if not kept:
         empty = np.empty(0)
@@ -459,8 +489,9 @@ def mc_study(
     Replicate r simulates with the seed derived from (seed, r).  A
     replicate whose draw degenerates (no usable tail, a failed
     factorization, too few points) is excluded and counted in
-    ``n_failed``; aggregation runs over the rest (all-NaN aggregates
-    and empty rows when nothing succeeded).  Other errors are raised.
+    ``n_failed`` and, by exception class, in ``failed_by_reason``;
+    aggregation runs over the rest (all-NaN aggregates and empty rows
+    when nothing succeeded).  Other errors are raised.
     """
     summary, _ = _replicates(model, set_a, set_b, rule, config, lags, n_reps, seed, ())
     limit, pa = _attach_oracles(model, summary.lags, set_a, set_b, summary.mean_m)

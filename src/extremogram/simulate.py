@@ -12,7 +12,10 @@ Three families, all with unit-Frechet margins (CDF exp(-1/x)):
   dependence from the variogram alone.
 
 Every simulator is a pure function of its inputs and an integer seed; see
-:mod:`extremogram.fields` for the seeding contract.
+:mod:`extremogram.fields` for the seeding contract.  The MMA and
+Brown-Resnick simulators take an optional ``plan=``, the value-free
+part of a draw (:class:`MmaPlan`, :class:`BrPlan`), so that many seeds
+of one model share it; a plan changes no draw.
 
 A note on the spectral Brown-Resnick path: with the representation
 ``X_s = sup_j Gamma_j^{-1} exp(W_s^j - delta(s))`` truncated at J terms,
@@ -34,13 +37,15 @@ from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .errors import FactorizationFailure
-from .fields import LatticeField, PointField, derive_rng
+from .fields import LatticeField, PointField, derive_rng, grid_sides
 
 __all__ = [
     "WeightSpec",
     "VariogramSpec",
     "BrSimConfig",
     "BrSimResult",
+    "MmaPlan",
+    "BrPlan",
     "CountRule",
     "FieldSource",
     "sim_frechet_iid",
@@ -297,12 +302,32 @@ def _frechet(rng: np.random.Generator, shape) -> np.ndarray:
 
 def sim_frechet_iid(dims, seed: int) -> LatticeField:
     """iid unit-Frechet noise on a grid, drawn as -1/log(U)."""
-    dims = tuple(int(n) for n in dims)
+    dims = grid_sides(dims)
     rng = derive_rng(seed)
     return LatticeField(dims, _frechet(rng, dims).ravel())
 
 
-def sim_mma(dims, weights: WeightSpec, seed: int) -> LatticeField:
+class MmaPlan:
+    """Value-free part of an MMA draw in ``d`` dimensions.
+
+    Holds the truncated support of ``weights`` grouped into equal-weight
+    shells, heaviest first, each a ``(weight, offsets)`` pair, and the
+    noise pad per axis.  It depends on (weights, d) only, so one plan
+    serves every grid and seed of that dimension.
+    """
+
+    def __init__(self, weights: WeightSpec, d: int):
+        offsets, wts = weights.support(d)
+        self.weights = weights
+        self.d = d
+        self.pad = tuple(int(np.abs(offsets[:, i]).max()) for i in range(d))
+        order = np.argsort(-wts, kind="stable")
+        wts = wts[order]
+        starts = np.flatnonzero(np.diff(wts)) + 1
+        self.shells = tuple(zip(wts[np.r_[0, starts]], np.split(offsets[order], starts)))
+
+
+def sim_mma(dims, weights: WeightSpec, seed: int, *, plan: MmaPlan | None = None) -> LatticeField:
     """Max-moving-average field ``X_t = max_s w(s) * Z_{t-s}``.
 
     Z is iid unit Frechet on the grid padded by the weight support, so
@@ -323,34 +348,33 @@ def sim_mma(dims, weights: WeightSpec, seed: int) -> LatticeField:
     weights : WeightSpec
         Weight function; geometric supports are truncated per its rule.
     seed : int
+    plan : MmaPlan, optional
+        ``MmaPlan(weights, len(dims))`` built beforehand, so that many
+        draws can share it; it does not change the draw.  A plan built
+        for other weights or another dimension is refused (ValueError).
     """
-    dims = tuple(int(n) for n in dims)
-    d = len(dims)
-    offsets, wts = weights.support(d)
-    pad = tuple(int(np.abs(offsets[:, i]).max()) for i in range(d))
+    dims = grid_sides(dims)
+    if plan is None:
+        plan = MmaPlan(weights, len(dims))
+    elif (plan.weights, plan.d) != (weights, len(dims)):
+        raise ValueError("MmaPlan was built for other weights or another dimension")
+    pad = plan.pad
     rng = derive_rng(seed)
     noise = _frechet(rng, tuple(n + 2 * p for n, p in zip(dims, pad)))
     out = np.zeros(dims)
-    # group offsets sharing one weight value (equal-norm shells) so each
-    # shell costs one multiply; stop at the first shell that can raise no
-    # site (see the docstring).  The initial values let an empty grid
-    # reach LatticeField's own check instead of failing in a reduction.
+    # each shell costs one multiply; stop at the first shell that can
+    # raise no site (see the docstring).  The initial values let an
+    # empty grid reach LatticeField's own check instead of failing in a
+    # reduction.
     top = noise.max(initial=0.0)
-    order = np.argsort(-wts, kind="stable")
-    offsets = offsets[order]
-    wts = wts[order]
-    boundaries = np.flatnonzero(np.diff(wts)) + 1
-    for group in np.split(np.arange(len(wts)), boundaries):
-        if wts[group[0]] * top <= out.min(initial=np.inf):
+    for weight, offsets in plan.shells:
+        if weight * top <= out.min(initial=np.inf):
             break
         shell = np.zeros(dims)
-        for k in group:
-            sl = tuple(
-                slice(p - int(o), p - int(o) + n)
-                for p, o, n in zip(pad, offsets[k], dims)
-            )
+        for off in offsets.tolist():
+            sl = tuple(slice(p - o, p - o + n) for p, o, n in zip(pad, off, dims))
             np.maximum(shell, noise[sl], out=shell)
-        np.maximum(out, wts[group[0]] * shell, out=out)
+        np.maximum(out, weight * shell, out=out)
     return LatticeField(dims, out.ravel())
 
 
@@ -386,17 +410,40 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _draw_increments(
-    sites: np.ndarray,
-    vario: VariogramSpec,
-    rng: np.random.Generator,
-    n_draws: int,
-):
-    cov, d_site, at_origin = _increment_cov(sites, vario)
-    factor = _psd_factor(cov)
-    draws = factor @ rng.standard_normal((len(sites), n_draws))
-    draws[at_origin, :] = 0.0  # the pinned origin carries no randomness
-    return draws, d_site
+class BrPlan:
+    """Value-free part of a Brown-Resnick draw at fixed ``sites``.
+
+    Holds a read-only copy of the sites and the dense factor F, with
+    ``F F^T ~= cov + jitter*I``, of the Gaussian covariance that
+    ``config``'s method draws from.  For spectral that is the
+    origin-pinned increment covariance, and the plan also holds delta
+    at each site and the origin mask; for gaussian_max it is the
+    correlation ``1 / (1 + delta(d_N*|h|))``.  Building a plan factors
+    the covariance, so it raises FactorizationFailure where a draw
+    would.
+    """
+
+    def __init__(self, sites, vario: VariogramSpec, config: BrSimConfig):
+        self.sites = np.array(sites, dtype=float)
+        if self.sites.ndim != 2:
+            raise ValueError("sites must be an (N, d) array")
+        self.sites.setflags(write=False)
+        self.vario = vario
+        self.config = config
+        self.d_site = self.at_origin = None
+        if config.method == "spectral":
+            cov, self.d_site, self.at_origin = _increment_cov(self.sites, vario)
+        else:
+            d_n = (1.0 / math.log(config.n_gaussians)) ** (1.0 / vario.alpha)
+            cov = 1.0 / (1.0 + vario.delta(d_n * _pair_distances(self.sites)))
+        self.factor = _psd_factor(cov)
+
+
+def _draw_increments(plan: BrPlan, rng: np.random.Generator, n_draws: int) -> np.ndarray:
+    """``n_draws`` increment fields as columns, from a spectral plan."""
+    draws = plan.factor @ rng.standard_normal((len(plan.sites), n_draws))
+    draws[plan.at_origin, :] = 0.0  # the pinned origin carries no randomness
+    return draws
 
 
 def sim_gaussian_increments(sites, vario: VariogramSpec, seed: int = 0) -> np.ndarray:
@@ -406,19 +453,16 @@ def sim_gaussian_increments(sites, vario: VariogramSpec, seed: int = 0) -> np.nd
     the exact origin gets W = 0 exactly.  The covariance is factored
     densely with a 1e-10 diagonal jitter; a PSD eigen-factorization is
     used when Cholesky fails (e.g. alpha = 2, where the matrix is
-    rank-deficient by construction).
+    rank-deficient by construction).  This is the field each spectral
+    Brown-Resnick term draws.
 
     Raises
     ------
     FactorizationFailure
         If the jittered covariance is indefinite beyond tolerance.
     """
-    sites = np.asarray(sites, dtype=float)
-    if sites.ndim != 2:
-        raise ValueError("sites must be an (N, d) array")
-    rng = derive_rng(seed)
-    draws, _ = _draw_increments(sites, vario, rng, 1)
-    return draws[:, 0]
+    plan = BrPlan(sites, vario, BrSimConfig.spectral())
+    return _draw_increments(plan, derive_rng(seed), 1)[:, 0]
 
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
@@ -439,9 +483,9 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _sim_br_spectral(sites, vario, config, rng):
-    n_sites = len(sites)
-    J = config.n_terms
+def _sim_br_spectral(plan, rng):
+    n_sites = len(plan.sites)
+    J = plan.config.n_terms
     if J < 100:
         warnings.warn(
             f"spectral Brown-Resnick with n_terms={J} < 100 is likely badly truncated",
@@ -449,8 +493,8 @@ def _sim_br_spectral(sites, vario, config, rng):
             stacklevel=_outside_stacklevel(),
         )
     gamma = np.cumsum(rng.exponential(size=J))
-    draws, d_site = _draw_increments(sites, vario, rng, J)
-    np.subtract(draws, d_site[:, None], out=draws)
+    draws = _draw_increments(plan, rng, J)
+    np.subtract(draws, plan.d_site[:, None], out=draws)
     terms = np.exp(draws, out=draws)
     terms /= gamma[None, :]
     values = terms.max(axis=1)
@@ -468,7 +512,7 @@ def _gauss_to_frechet(gauss):
         return -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
 
 
-def _sim_br_gaussian_max(sites, vario, config, rng):
+def _sim_br_gaussian_max(plan, rng):
     """Max over N correlated Gaussians per site, Frechet-transformed, over N.
 
     The transform runs on each row's max alone.  That equals the max of the
@@ -478,10 +522,8 @@ def _sim_br_gaussian_max(sites, vario, config, rng):
     with a second entry within ``_TIE_MARGIN`` of its max is transformed
     whole before its max is taken.
     """
-    n_rep = config.n_gaussians
-    d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
-    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _pair_distances(sites))))
-    gauss = factor @ rng.standard_normal((len(sites), n_rep))
+    n_rep = plan.config.n_gaussians
+    gauss = plan.factor @ rng.standard_normal((len(plan.sites), n_rep))
     top = gauss.max(axis=1)
     values = _gauss_to_frechet(top)
     near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
@@ -490,18 +532,19 @@ def _sim_br_gaussian_max(sites, vario, config, rng):
         values=values / n_rep,
         truncation_fraction=None,
         method="gaussian_max",
-        clip_fraction=float(np.mean(ndtr(top) >= _PHI_CLIP)) if len(sites) else 0.0,
+        clip_fraction=float(np.mean(ndtr(top) >= _PHI_CLIP)) if len(plan.sites) else 0.0,
     )
 
 
-def _sim_br(sites, vario, config, rng) -> BrSimResult:
-    if config.method == "spectral":
-        return _sim_br_spectral(sites, vario, config, rng)
-    return _sim_br_gaussian_max(sites, vario, config, rng)
+def _sim_br(plan: BrPlan, rng) -> BrSimResult:
+    if plan.config.method == "spectral":
+        return _sim_br_spectral(plan, rng)
+    return _sim_br_gaussian_max(plan, rng)
 
 
 def sim_brown_resnick(
-    sites, vario: VariogramSpec, config: BrSimConfig, seed: int = 0
+    sites, vario: VariogramSpec, config: BrSimConfig, seed: int = 0,
+    *, plan: BrPlan | None = None,
 ) -> BrSimResult:
     """Brown-Resnick max-stable field at arbitrary planar sites.
 
@@ -514,14 +557,21 @@ def sim_brown_resnick(
     for every N; the joint law approaches Brown-Resnick with variogram
     ``vario`` as N grows).
 
+    ``plan`` is ``BrPlan(sites, vario, config)`` built beforehand, so that
+    many draws at the same sites share one factored covariance; it does
+    not change the draw.  A plan built for other sites, another
+    variogram or another config is refused (ValueError).
+
     Returns
     -------
     BrSimResult
     """
-    sites = np.asarray(sites, dtype=float)
-    if sites.ndim != 2:
-        raise ValueError("sites must be an (N, d) array")
-    return _sim_br(sites, vario, config, derive_rng(seed))
+    if plan is None:
+        plan = BrPlan(sites, vario, config)
+    elif not (plan.vario == vario and plan.config == config
+              and np.array_equal(plan.sites, np.asarray(sites, dtype=float))):
+        raise ValueError("BrPlan was built for other sites, variogram or config")
+    return _sim_br(plan, derive_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +662,8 @@ def sim_point_field(
     if field_source.kind == "frechet_iid":
         values = _frechet(rng, n)
     else:
-        values = _sim_br(locations, field_source.vario, field_source.config, rng).values
+        plan = BrPlan(locations, field_source.vario, field_source.config)
+        values = _sim_br(plan, rng).values
     return PointField(
         locations=locations,
         values=values,

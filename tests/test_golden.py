@@ -118,11 +118,11 @@ GOLDEN = {
     "mc_by_distance.csv":
         "f3fa360cb09c2bdb5f024d51ac836dc2af58dff38fffa8279ef66cc3ec050490",
     "mc_by_distance.json":
-        "db9ee631215c93d767002943926842cd349a3a3cb5df389140396aefb534de24",
+        "79f1f57dfa1cd242f6ceda2d7e2e2981c1c2e4e1b63fe6ffce62f86cd393cff3",
     "mc_vectors.csv":
         "1bfd037ef2a90206995fc49767b790767287ec358ced16578304a60d4fd5fbc4",
     "mc_vectors.json":
-        "c1e11ca365b5fd697315d552a89d6aba2fd3f9d131498dea78c2b4fdfea83712",
+        "0137edff3176151ec5eea6cb2ee571b8debfb8aff0adf487685792bcbb74eb15",
     "mma.csv":
         "b6cb56638ee905e91caf2184a39d70e84d59cea20e6c724ae738d4a7b9e0252a",
     "oracle.csv":

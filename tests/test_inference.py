@@ -1,5 +1,6 @@
 """Dispatch, permutation bands, Monte Carlo harness, rate check."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from extremogram import (
     EmptyField,
     EstimatorConfig,
     ExtremeSet,
+    FactorizationFailure,
     FrechetModel,
     KernelSpec,
     Lag,
@@ -46,6 +48,7 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
+from extremogram import simulate
 from extremogram.inference import _CHUNK_BYTES, estimator_plan
 from extremogram.kernel import KernelPlan
 from extremogram.lattice import LatticePlan
@@ -289,6 +292,8 @@ def test_mc_study_counts_point_draws_too_small_to_pair(by_distance):
     small = sum(model.simulate(derive_seed(0, r)).n_points < 2 for r in range(20))
     assert small > 0 and s.n_failed >= small
     assert s.n_used + s.n_failed == 20
+    assert s.failed_by_reason["EmptyField"] >= small
+    assert sum(s.failed_by_reason.values()) == s.n_failed
 
 
 def test_bands_collapse_when_everything_exceeds():
@@ -346,6 +351,7 @@ def test_mc_study_aggregates_and_oracles():
     assert np.all(s.quantiles[25.0] <= s.quantiles[50.0])
     assert np.all(s.quantiles[50.0] <= s.quantiles[75.0])
     assert s.mean_m == 1.0 / (1.0 - 0.9)
+    assert s.failed_by_reason == {}
     assert s.oracle_limit is not None
     assert s.oracle_limit[0] == mma1_extremogram(Lag.of(1, 0))
     assert s.oracle_limit[1] == mma1_extremogram(Lag.of(2, 0))
@@ -378,10 +384,56 @@ def test_mc_study_counts_failures():
     s = mc_study(ConstantModel(), RAY, RAY, Q90, LAT, [Lag.of(1, 0)],
                  n_reps=5, seed=0)
     assert s.n_used == 0 and s.n_failed == 5
+    assert s.failed_by_reason == {"DegenerateDenominator": 5}
     assert s.lags == () and s.mean.size == 0
     assert math.isnan(s.mean_m)
     with pytest.raises(ValueError):
         mc_study(ConstantModel(), RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=0)
+
+
+def _calls_under(monkeypatch, owner, name, caller):
+    """Count calls of ``owner.name`` made while ``caller`` is running."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not caller.__code__:
+            frame = frame.f_back
+        calls.append(frame is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("config", [BrSimConfig.spectral(200), BrSimConfig.gaussian_max(200)])
+def test_br_model_factors_once_per_study(config, monkeypatch):
+    calls = _calls_under(monkeypatch, simulate, "_psd_factor", BrLatticeModel.simulate)
+    model = BrLatticeModel((8, 8), VariogramSpec(0.5, 2.0), config, spacing=0.25)
+    s = mc_study(model, RAY, RAY, Q90, EstimatorConfig(mode="lattice", by_distance=True),
+                 1.0, n_reps=8, seed=0)
+    assert s.n_used == 8
+    assert calls == [True]
+
+
+def test_mma_model_sorts_its_shells_once_per_study(monkeypatch):
+    calls = _calls_under(monkeypatch, WeightSpec, "support", MmaModel.simulate)
+    model = MmaModel((12, 12), WeightSpec.geometric(0.5))
+    s = mc_study(model, RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=4, seed=0)
+    assert s.n_used == 4 and s.oracle_limit is not None  # the oracle reads the support too
+    assert calls.count(True) == 1
+
+
+def test_a_br_model_that_cannot_factor_fails_every_replicate(monkeypatch):
+    def indefinite(cov):
+        raise FactorizationFailure("covariance is not PSD within tolerance")
+
+    monkeypatch.setattr(simulate, "_psd_factor", indefinite)
+    model = BrLatticeModel((6, 6), VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200))
+    s = mc_study(model, RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=3, seed=0)
+    assert s.n_used == 0 and s.n_failed == 3
+    assert s.failed_by_reason == {"FactorizationFailure": 3}
 
 
 def test_mc_study_raises_configuration_errors():

@@ -11,12 +11,17 @@ from scipy.special import ndtr
 
 from extremogram import (
     BrLatticeModel,
+    BrPlan,
     BrSimConfig,
     CountRule,
     EstimatorConfig,
     ExtremeSet,
     FieldSource,
+    FrechetModel,
     Lag,
+    LatticeField,
+    MmaModel,
+    MmaPlan,
     ThresholdRule,
     VariogramSpec,
     WeightSpec,
@@ -106,7 +111,7 @@ def test_mma_deterministic_and_dependent():
 
 def test_mma_draws_keep_their_bits():
     # seed-to-bits contract: SHA-256 of each draw's values, as the
-    # all-shells loop computes them
+    # all-shells loop computes them, with or without a prebuilt plan
     cases = {
         "geometric(0.5) 40x40": ((40, 40), WeightSpec.geometric(0.5), 1),
         "geometric(0.8) 12x12": ((12, 12), WeightSpec.geometric(0.8), 2),
@@ -120,11 +125,7 @@ def test_mma_draws_keep_their_bits():
         "geometric(0.5) 1-d 60": ((60,), WeightSpec.geometric(0.5), 6),
         "geometric(0.5) 3-d 4x4x4": ((4, 4, 4), WeightSpec.geometric(0.5), 7),
     }
-    digests = {
-        name: hashlib.sha256(sim_mma(dims, w, seed).values.tobytes()).hexdigest()
-        for name, (dims, w, seed) in cases.items()
-    }
-    assert digests == {
+    expected = {
         "geometric(0.5) 40x40": "f413a77d290afd1ab3ebb313341824b70de4fe5d0f688a07329d9fd347e1d38c",
         "geometric(0.8) 12x12": "2da147badb2ac23202cd5bb76947c1c4b8b578579bd0e61504a7d5efef83ae1a",
         "indicator_ball(1) 20x20": "910d93498ecdc6cedda841d3969068498d7d16ac72f92f2a8d0201d9b59c309d",
@@ -133,6 +134,14 @@ def test_mma_draws_keep_their_bits():
         "geometric(0.5) 1-d 60": "d248ff8af1cc756aa6144895b022d3169c538080d75b48e62f381cd31aee88f3",
         "geometric(0.5) 3-d 4x4x4": "ddd4b98c98da8ec75bef405026f75d9e346009958abe8a9dfafd08b422e48386",
     }
+    for plan in (lambda w, d: None, MmaPlan):
+        digests = {
+            name: hashlib.sha256(
+                sim_mma(dims, w, seed, plan=plan(w, len(dims))).values.tobytes()
+            ).hexdigest()
+            for name, (dims, w, seed) in cases.items()
+        }
+        assert digests == expected
 
 
 def _sim_mma_all_shells(dims, weights, seed):
@@ -236,12 +245,70 @@ def test_gaussian_max_follows_the_variogram():
 
 def test_brown_resnick_draws_keep_their_bits():
     # seed-to-bits contract: a gaussian_max draw at theta=1, alpha=2 and a
-    # spectral draw keep fixed bytes
+    # spectral draw keep fixed bytes, with or without a prebuilt plan
     sites = centered_grid_sites((6, 6), 0.5)
-    gmax = sim_brown_resnick(sites, VariogramSpec(1.0, 2.0), BrSimConfig.gaussian_max(200), seed=3)
-    spec = sim_brown_resnick(sites, VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200), seed=3)
-    digest = hashlib.sha256(gmax.values.tobytes() + spec.values.tobytes()).hexdigest()
-    assert digest == "a35c60ce3f0118dfebceef456a3e032ceb3f7f766f4e735185503492b1009420"
+    gmax_model = (sites, VariogramSpec(1.0, 2.0), BrSimConfig.gaussian_max(200))
+    spec_model = (sites, VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200))
+    for plan in (lambda *model: None, BrPlan):
+        gmax = sim_brown_resnick(*gmax_model, seed=3, plan=plan(*gmax_model))
+        spec = sim_brown_resnick(*spec_model, seed=3, plan=plan(*spec_model))
+        digest = hashlib.sha256(gmax.values.tobytes() + spec.values.tobytes()).hexdigest()
+        assert digest == "a35c60ce3f0118dfebceef456a3e032ceb3f7f766f4e735185503492b1009420"
+
+
+def test_a_plan_for_other_inputs_is_refused():
+    w = WeightSpec.geometric(0.5)
+    plan = MmaPlan(w, 2)
+    with pytest.raises(ValueError, match="MmaPlan"):
+        sim_mma((5, 5), WeightSpec.geometric(0.6), 0, plan=plan)
+    with pytest.raises(ValueError, match="MmaPlan"):
+        sim_mma((5, 5, 5), w, 0, plan=plan)
+    sites = centered_grid_sites((4, 4), 0.5)
+    vario = VariogramSpec(0.5, 2.0)
+    for config in (BrSimConfig.spectral(200), BrSimConfig.gaussian_max(200)):
+        plan = BrPlan(sites, vario, config)
+        others = [
+            (sites + 0.1, vario, config),
+            (sites[:-1], vario, config),
+            (sites, VariogramSpec(0.5, 1.0), config),
+            (sites, vario, BrSimConfig.spectral(300)),
+            (sites, vario, BrSimConfig.gaussian_max(300)),
+        ]
+        for other in others:
+            with pytest.raises(ValueError, match="BrPlan"):
+                sim_brown_resnick(*other, seed=0, plan=plan)
+        # a plan keeps its own copy of the sites
+        moved = sites.copy()
+        plan = BrPlan(moved, vario, config)
+        moved[0] += 1.0
+        with pytest.raises(ValueError, match="BrPlan"):
+            sim_brown_resnick(moved, vario, config, seed=0, plan=plan)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda dims: LatticeField(dims, np.ones(12)),
+    lambda dims: sim_mma(dims, WeightSpec.indicator_ball(1), 0),
+    lambda dims: sim_frechet_iid(dims, 0),
+    lambda dims: MmaModel(dims, WeightSpec.indicator_ball(1)).simulate(0),
+    lambda dims: FrechetModel(dims).simulate(0),
+    lambda dims: BrLatticeModel(dims, VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200)),
+])
+def test_a_fractional_grid_side_is_refused(draw):
+    for dims in [(3.5, 4), (3.9, 4), (3.0, 4)]:
+        with pytest.raises(ValueError, match=r"grid sides must be integers, got \(3\.[059], 4\)"):
+            draw(dims)
+
+
+def test_numpy_integer_grid_sides_are_accepted():
+    dims = (np.int64(3), np.int32(4))
+    assert sim_mma(dims, WeightSpec.indicator_ball(1), 0).dims == (3, 4)
+    assert LatticeField(dims, np.ones(12)).dims == (3, 4)
+
+
+def test_brown_resnick_lattice_needs_two_sides():
+    for dims in [(4, 4, 4), (5,)]:
+        with pytest.raises(ValueError, match=r"Brown-Resnick lattice needs 2 sides, got dims"):
+            BrLatticeModel(dims, VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200))
 
 
 class _FixedNormals:
@@ -303,7 +370,7 @@ def test_gaussian_max_transforms_a_near_tie_row_whole():
             break
     else:
         pytest.fail("no near-tie row found in 10,000 tries")
-    got = _sim_br_gaussian_max(site, vario, config, _FixedNormals(rows)).values
+    got = _sim_br_gaussian_max(BrPlan(site, vario, config), _FixedNormals(rows)).values
     assert np.array_equal(got, expected)
 
 
@@ -355,7 +422,8 @@ def test_brown_resnick_result_diagnostics():
     # first is capped there
     far_apart = np.array([[0.0, 0.0], [100.0, 0.0]])
     rows = np.array([[9.0, 0.0, -1.0], [1.0, 0.5, 2.0]])
-    clipped = _sim_br_gaussian_max(far_apart, vario, BrSimConfig.gaussian_max(3), _FixedNormals(rows))
+    plan = BrPlan(far_apart, vario, BrSimConfig.gaussian_max(3))
+    clipped = _sim_br_gaussian_max(plan, _FixedNormals(rows))
     assert clipped.clip_fraction == 0.5
     assert clipped.values[0] == -1.0 / np.log(_PHI_CLIP) / 3
     empty = sim_brown_resnick(np.empty((0, 2)), vario, BrSimConfig.gaussian_max(), seed=0)
