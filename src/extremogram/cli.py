@@ -51,14 +51,6 @@ from .inference import (
     run_estimator,
 )
 from .kernel import KernelSpec
-from .oracles import (
-    br_extremogram,
-    br_pa_extremogram,
-    mma1_extremogram,
-    mma1_pa_extremogram,
-    mma_geometric_extremogram_classsum,
-    mma_pa_extremogram,
-)
 from .pipeline import spatial_block_max, temporal_max
 from .simulate import (
     BrSimConfig,
@@ -272,8 +264,6 @@ def _snap_distance(dist: float) -> Lag:
     Distances in tables are often rounded (1.41 for sqrt 2); snapping
     maps them back to an attainable lattice separation.
     """
-    if dist < 0:
-        raise UsageError(f"distances must be nonnegative, got {dist}")
     reach = int(math.ceil(dist)) + 1
     best, best_err = (0, 0), abs(dist)
     for i in range(reach + 1):
@@ -363,34 +353,31 @@ def _cmd_bands(args) -> int:
     return 0
 
 
+def _oracle_model(args):
+    """The model ``oracle --model`` asks; oracles read no grid, so 1x1 stands in."""
+    if args.model == "mma1":
+        return MmaModel((1, 1), WeightSpec.indicator_ball(1.0))
+    if args.model == "geometric":
+        if args.phi is None:
+            raise UsageError("--model geometric requires --phi")
+        return MmaModel((1, 1), WeightSpec.geometric(args.phi))
+    return BrLatticeModel((1, 1), _variogram(args), BrSimConfig.spectral())
+
+
 def _cmd_oracle(args) -> int:
     try:
         distances = [float(p) for p in args.lags.split(",")]
     except ValueError:
         raise UsageError(f"--lags must be comma-separated distances, got {args.lags!r}")
-    rows = []
-    for dist in distances:
-        if args.model == "mma1":
-            lag = _snap_distance(dist)
-            limit = mma1_extremogram(lag)
-            pa = mma1_pa_extremogram(lag, args.m).rho_pa if args.m is not None else None
-        elif args.model == "geometric":
-            if args.phi is None:
-                raise UsageError("--model geometric requires --phi")
-            lag = _snap_distance(dist)
-            limit = mma_geometric_extremogram_classsum(args.phi, lag)
-            pa = (
-                mma_pa_extremogram(WeightSpec.geometric(args.phi), lag, args.m).rho_pa
-                if args.m is not None
-                else None
-            )
-        else:
-            vario = _variogram(args)
-            lag = Lag.of(dist, 0.0)
-            limit = br_extremogram(lag, vario)
-            pa = br_pa_extremogram(lag, vario, m=args.m).rho_pa if args.m is not None else None
-        rows.append((limit, pa))
-    limits, pas = zip(*rows)
+    if not all(math.isfinite(d) and d >= 0 for d in distances):
+        raise UsageError(f"--lags distances must be finite and nonnegative, got {args.lags!r}")
+    if args.m is not None and not math.isfinite(args.m):
+        raise UsageError(f"--m must be finite, got {args.m}")
+    model = _oracle_model(args)
+    lags = [_snap_distance(d) if isinstance(model, MmaModel) else Lag.of(d, 0.0)
+            for d in distances]
+    limits = [model.oracle_limit(lag) for lag in lags]
+    pas = [model.oracle_pa(lag, args.m) for lag in lags] if args.m is not None else None
     text = fileio._oracle_table(distances, limits, pas, args.m)
     _write_or_print(args.out, fileio._write_text, text, text)
     return 0

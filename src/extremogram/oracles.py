@@ -122,8 +122,8 @@ def mma_pa_extremogram(weights: WeightSpec, h, m: float) -> PaValue:
         raise DomainError(f"tail index m must exceed 1, got {m}")
     lag = as_lag(h)
     rho_limit = mma_extremogram(weights, lag)
-    kappa = 2.0 - rho_limit
-    rho_pa = (2.0 / m - 1.0 + (1.0 - 1.0 / m) ** kappa) * m
+    kappa = 2.0 - rho_limit  # 2 at rho_limit = 0, where the formula is 1/m up to rounding
+    rho_pa = 1.0 / m if rho_limit == 0.0 else (2.0 / m - 1.0 + (1.0 - 1.0 / m) ** kappa) * m
     return PaValue(lag=lag, m=float(m), rho_pa=float(rho_pa), rho_limit=rho_limit)
 
 

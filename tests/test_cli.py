@@ -19,6 +19,7 @@ from extremogram import (
     WeightSpec,
     derive_rng,
     mma1_pa_extremogram,
+    mma_pa_extremogram,
     read_ese,
     read_field,
     write_field,
@@ -130,6 +131,20 @@ def test_oracle_brown_resnick(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert float(rows[0][1]) == 1.0  # zero separation is full dependence
     assert 0.0 < float(rows[1][1]) < 1.0
+
+
+def test_oracle_reports_the_law_mc_simulates(capsys):
+    """Geometric rows are the simulated model's oracles, not a separate closed form."""
+    code, out, _ = run(capsys, "oracle", "--model", "geometric", "--phi", "0.9",
+                       "--lags", "1,2,5", "--m", "10")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    model = MmaModel((40, 40), WeightSpec.geometric(0.9))
+    # the distances snap to these lattice lags; 5 is first met at (4, 3)
+    for row, lag in zip(rows, [Lag.of(1, 0), Lag.of(2, 0), Lag.of(4, 3)], strict=True):
+        pa = mma_pa_extremogram(WeightSpec.geometric(0.9), lag, 10.0)
+        assert float(row["rho_limit"]) == model.oracle_limit(lag) == pa.rho_limit
+        assert float(row["rho_pa"]) == model.oracle_pa(lag, 10.0) == pa.rho_pa
 
 
 def test_bands_end_to_end(tmp_path, capsys):
@@ -414,6 +429,9 @@ def test_every_failing_exit_prints_one_json_line(tmp_path, capsys):
                           "--threshold", "q=0.9", "--lags", "1,0;", "--seed", "0",
                           "--workers", "2", "--out", "y.csv"]),
         (1, "--phi", ["oracle", "--model", "geometric", "--lags", "1"]),
+        (1, "finite and nonnegative", ["oracle", "--model", "mma1", "--lags", "inf"]),
+        (1, "finite and nonnegative", ["oracle", "--model", "brown-resnick", "--lags", "-1"]),
+        (1, "--m must be finite", ["oracle", "--model", "mma1", "--lags", "1", "--m", "inf"]),
         (1, "planar", ["simulate", "--model", "brown-resnick", "--dims", "4,4,4",
                        "--seed", "0", "--out", str(tmp_path / "x.csv")]),
         (2, "not found", ["estimate", "--input", str(tmp_path / "nope.csv"),

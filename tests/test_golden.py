@@ -3,9 +3,9 @@
 The digests pin the exact output of the commands below, so a change to
 how any table is formatted or parsed shows up here byte for byte.  The
 commands run with relative paths in a scratch directory, because the
-estimate sidecars record their input path.  Brown-Resnick models are
-left out: their draws go through BLAS, whose last bits may differ
-between builds.
+estimate sidecars record their input path.  Brown-Resnick draws are
+left out: they go through BLAS, whose last bits may differ between
+builds.  The Brown-Resnick oracle is closed-form and is pinned.
 """
 import contextlib
 import hashlib
@@ -54,6 +54,8 @@ _STEPS = [
                     "--out", "oracle.csv"]),
     ("oracle_m_out", ["oracle", "--model", "geometric", "--phi", "0.5", "--lags", "1,2.5",
                       "--m", "10", "--out", "oracle_m.csv"]),
+    ("oracle_mma1_far", ["oracle", "--model", "mma1", "--lags", "0,2.5,3,40", "--m", "10"]),
+    ("oracle_br", ["oracle", "--model", "brown-resnick", "--lags", "0,0.5,2.5", "--m", "10"]),
 ]
 
 GOLDEN = {
@@ -93,6 +95,10 @@ GOLDEN = {
         "8a164098a9c709c5fd1b9a1b6a9b553cceb433e1dddd4261e1bba2e75c22c795",
     "oracle_m_out stdout":
         "d403b55b31eb54886d13219a5c65e71c478ae68285c17c10425ec69b99758aa5",
+    "oracle_mma1_far stdout":
+        "ebf66c503e591a0fe4c77fa716e7a11244985bdeeb271179c8f5b4f98f85b1a4",
+    "oracle_br stdout":
+        "4475a3cca6eefbfdd37f9e97a6001039ded71e97043a78ca3fc6cb4131186df8",
     "bands.csv":
         "4bb9eb8b7396ce8e4e78aff7883b7ab72e287030ab047fc9dbd11629b912151c",
     "bands.json":
@@ -126,9 +132,9 @@ GOLDEN = {
     "mma.csv":
         "b6cb56638ee905e91caf2184a39d70e84d59cea20e6c724ae738d4a7b9e0252a",
     "oracle.csv":
-        "60329f7a1a41a743bc4da85e4b295192d720d337eefc59b149c6a3addce72adb",
+        "dfb7a8a21ebac37b07a383f723104e51c090e4966b146ee839b042f487f69ab4",
     "oracle_m.csv":
-        "d3544baa2e493a1488291cf8a8eb0cdd22b518acce5a98e6ae376f92bf6a9ff6",
+        "394cb1f13c9385c5a0ddd4abace6feccf35ffa851d46fe00f9c398e1e07be4ce",
     "points.csv":
         "82491b1b67c4a44793d04a1ae0e94dcc49b684be1680088c024434f7ccdbe613",
     "rate.csv":

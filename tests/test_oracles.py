@@ -21,6 +21,7 @@ from extremogram import (
     br_pa_extremogram,
     br_pa_tau,
     husler_reiss_cdf,
+    lag_grid,
     lattice_counts,
     mma1_extremogram,
     mma1_pa_extremogram,
@@ -50,10 +51,8 @@ def test_mma1_limit_values():
 
 def test_mma1_limit_matches_general_enumeration():
     """Hard-coded piecewise values against the weight-enumeration form."""
-    for off in [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 0), (0, -2), (3, 0), (2, 2)]:
-        assert mma_extremogram(BALL, Lag.of(*off)) == pytest.approx(
-            mma1_extremogram(Lag.of(*off)), abs=1e-14
-        )
+    for lag in [Lag.of(0, 0), *lag_grid(6, 2)]:
+        assert mma_extremogram(BALL, lag) == mma1_extremogram(lag), lag
 
 
 def test_mma1_pa_frozen_values():
@@ -70,14 +69,12 @@ def test_mma1_pa_frozen_values():
 
 
 def test_mma1_pa_matches_general_path():
-    # two independent code paths: hard-coded exponents vs weight sums;
-    # the general path evaluates (2/m-1+(1-1/m)^2)*m at kappa=2, which
-    # cancels to 1/m only up to rounding, hence the absolute tolerance
-    for off in [(1, 0), (1, 1), (2, 0), (3, 0)]:
-        for m in (5.0, M_3PCT, 1e4):
-            a = mma1_pa_extremogram(Lag.of(*off), m).rho_pa
-            b = mma_pa_extremogram(BALL, Lag.of(*off), m).rho_pa
-            assert a == pytest.approx(b, abs=1e-12), (off, m)
+    # two independent code paths: hard-coded exponents vs weight sums
+    for lag in [Lag.of(0, 0), *lag_grid(6, 2)]:
+        for m in (1.01, 1.5, 5.0, M_3PCT, 1e4, 1e6):
+            a = mma1_pa_extremogram(lag, m)
+            b = mma_pa_extremogram(BALL, lag, m)
+            assert (a.rho_pa, a.rho_limit) == (b.rho_pa, b.rho_limit), (lag, m)
 
 
 def test_pa_converges_to_limit():
