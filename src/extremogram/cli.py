@@ -11,6 +11,7 @@ mc, rate-check, bands) requires an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -258,16 +259,21 @@ def _parse_windows(text: str) -> list[tuple[int, int]]:
     return windows
 
 
-def _snap_distance(dist: float) -> Lag:
+def _snap_distance(dist: float, reach: float) -> Lag:
     """Nearest planar integer lag to the requested distance.
 
     Distances in tables are often rounded (1.41 for sqrt 2); snapping
-    maps them back to an attainable lattice separation.
+    maps them back to an attainable lattice separation.  Each row i
+    tries only the j at the floor and ceiling of sqrt(dist^2 - i^2),
+    as |(i, j)| grows with j.  Lags longer than ``reach`` all give the
+    same value, so a distance well past it is not searched.
     """
-    reach = int(math.ceil(dist)) + 1
+    if dist > reach + 1.0:  # a searched lag lies within 1/2 of dist, so past reach too
+        return Lag.of(math.ceil(dist), 0)
     best, best_err = (0, 0), abs(dist)
-    for i in range(reach + 1):
-        for j in range(i + 1):
+    for i in range(int(math.ceil(dist)) + 2):
+        root = math.sqrt(max(dist * dist - i * i, 0.0))
+        for j in sorted({min(math.floor(root), i), min(math.ceil(root), i)}):
             err = abs(math.hypot(i, j) - dist)
             if err < best_err - 1e-12:
                 best, best_err = (i, j), err
@@ -374,8 +380,12 @@ def _cmd_oracle(args) -> int:
     if args.m is not None and not math.isfinite(args.m):
         raise UsageError(f"--m must be finite, got {args.m}")
     model = _oracle_model(args)
-    lags = [_snap_distance(d) if isinstance(model, MmaModel) else Lag.of(d, 0.0)
-            for d in distances]
+    if isinstance(model, MmaModel):
+        # weights at s and s + h overlap only for |h| <= twice the support radius
+        reach = 2.0 * model.weights.truncation(2)
+        lags = [_snap_distance(d, reach) for d in distances]
+    else:
+        lags = [Lag.of(d, 0.0) for d in distances]
     limits = [model.oracle_limit(lag) for lag in lags]
     pas = [model.oracle_pa(lag, args.m) for lag in lags] if args.m is not None else None
     text = fileio._oracle_table(distances, limits, pas, args.m)
@@ -526,7 +536,9 @@ def _add_model_flags(p: _Parser, models) -> None:
     p.add_argument("--source", choices=("frechet", "brown-resnick"), default="frechet")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = _Parser(prog="extremogram",
                      description="extremal spatial dependence toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,7 @@ _AXIS_NAMES = ("x", "y", "z")
 
 def _write_text(path, text: str) -> None:
     """Replace ``path`` with ``text`` whole: a crash leaves the old file or the new."""
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x")
     try:
         with fh:

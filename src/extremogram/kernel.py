@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateDenominator, EmptyField
 from .fields import ExtremeSet, Lag, PointField, ThresholdRule, as_lag, resolve_threshold
@@ -172,6 +171,8 @@ class KernelPlan:
     """
 
     def __init__(self, locations: np.ndarray, kernel: KernelSpec, lags, by_distance: bool = False):
+        from scipy.spatial import cKDTree
+
         self.by_distance = by_distance
         self.lags = tuple(as_lag(h, d=2) for h in (_rings(lags) if by_distance else lags))
         if not self.lags:

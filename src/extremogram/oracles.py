@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, UnsupportedSets
 from .fields import ExtremeSet, Lag, as_lag
@@ -267,6 +266,8 @@ def husler_reiss_cdf(y1: float, y2: float, delta: float) -> float:
         raise DomainError(f"delta must be nonnegative, got {delta}")
     if delta == 0.0:
         return math.exp(-1.0 / min(y1, y2))
+    from scipy.special import ndtr
+
     sd = math.sqrt(delta)
     z = math.log(y2 / y1) / (2.0 * sd)
     return math.exp(
@@ -282,6 +283,8 @@ def _br_phibars(delta: float, c_a: float, c_b: float) -> tuple[float, float]:
         if c_b < c_a:
             return 1.0, 0.0
         return 0.5, 0.5
+    from scipy.special import ndtr
+
     sd = math.sqrt(delta)
     z = math.log(c_b / c_a) / (2.0 * sd)
     return float(ndtr(-(z + sd))), float(ndtr(z - sd))

@@ -33,8 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 from .errors import FactorizationFailure
 from .fields import LatticeField, PointField, derive_rng, grid_sides
@@ -380,6 +378,8 @@ def sim_mma(dims, weights: WeightSpec, seed: int, *, plan: MmaPlan | None = None
 
 def _pair_distances(sites: np.ndarray) -> np.ndarray:
     """Euclidean distances between every pair of sites, shape (n, n)."""
+    from scipy.spatial.distance import cdist
+
     return cdist(sites, sites)
 
 
@@ -508,6 +508,8 @@ def _sim_br_spectral(plan, rng):
 
 def _gauss_to_frechet(gauss):
     """-1/log(min(Phi(g), _PHI_CLIP)): standard normal to unit Frechet."""
+    from scipy.special import ndtr
+
     with np.errstate(divide="ignore"):
         return -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
 
@@ -522,6 +524,8 @@ def _sim_br_gaussian_max(plan, rng):
     with a second entry within ``_TIE_MARGIN`` of its max is transformed
     whole before its max is taken.
     """
+    from scipy.special import ndtr
+
     n_rep = plan.config.n_gaussians
     gauss = plan.factor @ rng.standard_normal((len(plan.sites), n_rep))
     top = gauss.max(axis=1)

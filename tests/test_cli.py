@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output contracts, end-to-end flows."""
+import argparse
 import csv
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from extremogram import (
     write_field,
     write_space_time,
 )
-from extremogram.cli import main
+from extremogram.cli import _build_parser, _snap_distance, main
 
 
 def run(capsys, *argv):
@@ -145,6 +148,56 @@ def test_oracle_reports_the_law_mc_simulates(capsys):
         pa = mma_pa_extremogram(WeightSpec.geometric(0.9), lag, 10.0)
         assert float(row["rho_limit"]) == model.oracle_limit(lag) == pa.rho_limit
         assert float(row["rho_pa"]) == model.oracle_pa(lag, 10.0) == pa.rho_pa
+
+
+def _full_scan_snap(dist):
+    """Nearest planar integer lag by trying every (i, j), j <= i <= ceil(dist) + 1."""
+    best, best_err = (0, 0), abs(dist)
+    for i in range(math.ceil(dist) + 2):
+        for j in range(i + 1):
+            err = abs(math.hypot(i, j) - dist)
+            if err < best_err - 1e-12:
+                best, best_err = (i, j), err
+    return Lag.of(*best)
+
+
+def test_snap_distance_equals_the_full_scan():
+    rnd = random.Random(3)
+    norms = [math.hypot(i, j) for i in range(30) for j in range(i + 1)]
+    dists = [*norms, *(round(d, k) for d in norms for k in (1, 2)),
+             *(d + e for d in norms for e in (-2e-12, -5e-13, 5e-13, 2e-12, -0.5, 0.5)),
+             *(rnd.uniform(0, 60) for _ in range(500))]
+    for dist in (d for d in dists if d >= 0):
+        assert _snap_distance(dist, math.inf) == _full_scan_snap(dist), dist
+
+
+@pytest.mark.parametrize("flags, weights, top", [
+    (["mma1"], WeightSpec.indicator_ball(1.0), 6.0),
+    (["geometric", "--phi", "0.5"], WeightSpec.geometric(0.5), 104.0),
+])
+def test_oracle_rows_past_the_support_are_zero_and_one_over_m(capsys, flags, weights, top):
+    dists = [k / 4 for k in range(max(0, int(4 * (top - 8))), int(4 * top))]
+    code, out, _ = run(capsys, "oracle", "--model", *flags,
+                       "--lags", ",".join(map(str, dists + [1e6, 1e300])), "--m", "10")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    # distances up to the top straddle twice the support radius; they still
+    # read the fully searched lag, and the far ones read exactly 0 and 1/m
+    for row, dist in zip(rows, dists):
+        pa = mma_pa_extremogram(weights, _full_scan_snap(dist), 10.0)
+        assert (float(row["rho_limit"]), float(row["rho_pa"])) == (pa.rho_limit, pa.rho_pa)
+    assert [(float(r["rho_limit"]), float(r["rho_pa"])) for r in rows[-2:]] == [(0.0, 0.1)] * 2
+
+
+def test_the_parser_is_built_once_with_immutable_defaults():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        for action in p._actions:
+            # a list default or an append action would carry values from one parse to the next
+            assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
+            assert isinstance(action.default, (type(None), str, int, float)), (command, action)
 
 
 def test_bands_end_to_end(tmp_path, capsys):

@@ -171,3 +171,15 @@ def _run_all(workdir) -> dict:
 def test_cli_outputs_match_their_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run_all(tmp_path) == GOLDEN
+
+
+def test_a_failed_parse_leaves_the_cached_parser_usable(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = dict(_STEPS)
+    assert main(steps["simulate_mma"]) == 0
+    assert main(["estimate"]) == 1  # no --input, --threshold or --out
+    capsys.readouterr()
+    assert main(steps["estimate_vectors"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == GOLDEN["estimate_vectors stdout"]
+    for name in ("est_vectors.csv", "est_vectors.json"):
+        assert _sha((tmp_path / name).read_bytes()) == GOLDEN[name]
