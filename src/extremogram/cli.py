@@ -52,11 +52,13 @@ from .inference import (
     run_estimator,
 )
 from .kernel import KernelSpec
+from .oracles import BrLaw, MmaLaw
 from .pipeline import spatial_block_max, temporal_max
 from .simulate import (
     BrSimConfig,
     CountRule,
     FieldSource,
+    MmaPlan,
     VariogramSpec,
     WeightSpec,
 )
@@ -359,17 +361,6 @@ def _cmd_bands(args) -> int:
     return 0
 
 
-def _oracle_model(args):
-    """The model ``oracle --model`` asks; oracles read no grid, so 1x1 stands in."""
-    if args.model == "mma1":
-        return MmaModel((1, 1), WeightSpec.indicator_ball(1.0))
-    if args.model == "geometric":
-        if args.phi is None:
-            raise UsageError("--model geometric requires --phi")
-        return MmaModel((1, 1), WeightSpec.geometric(args.phi))
-    return BrLatticeModel((1, 1), _variogram(args), BrSimConfig.spectral())
-
-
 def _cmd_oracle(args) -> int:
     try:
         distances = [float(p) for p in args.lags.split(",")]
@@ -379,15 +370,22 @@ def _cmd_oracle(args) -> int:
         raise UsageError(f"--lags distances must be finite and nonnegative, got {args.lags!r}")
     if args.m is not None and not math.isfinite(args.m):
         raise UsageError(f"--m must be finite, got {args.m}")
-    model = _oracle_model(args)
-    if isinstance(model, MmaModel):
-        # weights at s and s + h overlap only for |h| <= twice the support radius
-        reach = 2.0 * model.weights.truncation(2)
-        lags = [_snap_distance(d, reach) for d in distances]
-    else:
+    if args.model == "geometric" and args.phi is None:
+        raise UsageError("--model geometric requires --phi")
+    if args.model != "geometric" and args.phi is not None:
+        raise UsageError(f"--phi applies to --model geometric only, not {args.model}")
+    if args.model == "brown-resnick":
+        law = BrLaw(_variogram(args))
         lags = [Lag.of(d, 0.0) for d in distances]
-    limits = [model.oracle_limit(lag) for lag in lags]
-    pas = [model.oracle_pa(lag, args.m) for lag in lags] if args.m is not None else None
+    else:
+        if args.model == "mma1":
+            weights = WeightSpec.indicator_ball(1.0)
+        else:
+            weights = WeightSpec.geometric(args.phi)
+        law = MmaLaw(MmaPlan(weights, 2))
+        lags = [_snap_distance(d, law.reach) for d in distances]
+    limits = [law.oracle_limit(lag) for lag in lags]
+    pas = [law.oracle_pa(lag, args.m) for lag in lags] if args.m is not None else None
     text = fileio._oracle_table(distances, limits, pas, args.m)
     _write_or_print(args.out, fileio._write_text, text, text)
     return 0

@@ -7,9 +7,9 @@ shuffled estimates form a flat null envelope.  The observed estimate
 and every shuffle are counted over one geometry plan, the shuffles
 from the observed indicators.  The Monte Carlo harness and the rate
 check share one replicate loop that repeats simulate->estimate with
-derived per-replicate seeds and aggregates; the harness attaches
-closed-form limit and finite-m reference values when the model has
-them.
+derived per-replicate seeds and aggregates; the harness attaches the
+limit and finite-m reference values of the model's ``law`` when it has
+one.
 
 Both are plain sequential loops over independent tasks; every task
 draws its randomness from a stream derived from (seed, task index), so
@@ -47,7 +47,7 @@ from .fields import (
 )
 from .kernel import KernelPlan, KernelSpec, kernel_ese, kernel_ese_by_distance
 from .lattice import LatticePlan, lattice_ese, lattice_ese_by_distance
-from .oracles import br_extremogram, br_pa_extremogram, mma_extremogram, mma_pa_extremogram
+from .oracles import BrLaw, IidLaw, MmaLaw
 from .results import EseResult
 from .simulate import (
     BrPlan,
@@ -242,8 +242,9 @@ _RAY = ExtremeSet.ray(1.0)
 class MmaModel:
     """Max-moving-average field on a lattice.
 
-    The :class:`MmaPlan` of the weights is built on the first draw and
-    kept for every later one.
+    The :class:`MmaPlan` of the weights is built on the first draw or
+    oracle and kept for every later one; the draws and the ``law`` read
+    its one support.
     """
 
     dims: tuple
@@ -256,11 +257,9 @@ class MmaModel:
     def simulate(self, seed: int) -> LatticeField:
         return sim_mma(self.dims, self.weights, seed, plan=self.plan)
 
-    def oracle_limit(self, lag: Lag) -> float:
-        return mma_extremogram(self.weights, lag)
-
-    def oracle_pa(self, lag: Lag, m: float) -> float:
-        return mma_pa_extremogram(self.weights, lag, m).rho_pa
+    @cached_property
+    def law(self) -> MmaLaw:
+        return MmaLaw(self.plan)
 
     def describe(self) -> str:
         return f"mma {self.weights.label()} dims={'x'.join(str(n) for n in self.dims)}"
@@ -271,15 +270,10 @@ class FrechetModel:
     """Independent unit-Frechet values on a lattice (no dependence)."""
 
     dims: tuple
+    law = IidLaw()
 
     def simulate(self, seed: int) -> LatticeField:
         return sim_frechet_iid(self.dims, seed)
-
-    def oracle_limit(self, lag: Lag) -> float:
-        return 1.0 if lag.norm == 0.0 else 0.0
-
-    def oracle_pa(self, lag: Lag, m: float) -> float:
-        return 1.0 if lag.norm == 0.0 else 1.0 / m
 
     def describe(self) -> str:
         return f"frechet-iid dims={'x'.join(str(n) for n in self.dims)}"
@@ -331,14 +325,9 @@ class BrLatticeModel:
         result = sim_brown_resnick(self.sites, self.vario, self.config, seed=seed, plan=self.plan)
         return LatticeField(self.dims, result.values)
 
-    def _physical(self, lag: Lag) -> Lag:
-        return Lag.of(lag.norm * self.spacing, 0.0)
-
-    def oracle_limit(self, lag: Lag) -> float:
-        return br_extremogram(self._physical(lag), self.vario)
-
-    def oracle_pa(self, lag: Lag, m: float) -> float:
-        return br_pa_extremogram(self._physical(lag), self.vario, m=m).rho_pa
+    @property
+    def law(self) -> BrLaw:
+        return BrLaw(self.vario, self.spacing)
 
     def describe(self) -> str:
         dims = "x".join(str(n) for n in self.dims)
@@ -359,15 +348,9 @@ class PointProcessModel:
     def simulate(self, seed: int) -> PointField:
         return sim_point_field(self.region, self.count_rule, self.source, seed=seed)
 
-    def oracle_limit(self, lag: Lag) -> float:
-        if self.source.kind == "frechet_iid":
-            return 1.0 if lag.norm == 0.0 else 0.0
-        return br_extremogram(lag, self.source.vario)
-
-    def oracle_pa(self, lag: Lag, m: float) -> float:
-        if self.source.kind == "frechet_iid":
-            return 1.0 if lag.norm == 0.0 else 1.0 / m
-        return br_pa_extremogram(lag, self.source.vario, m=m).rho_pa
+    @property
+    def law(self) -> IidLaw | BrLaw:
+        return IidLaw() if self.source.kind == "frechet_iid" else BrLaw(self.source.vario)
 
     def describe(self) -> str:
         return f"point-field {self.source.kind} region={self.region}"
@@ -382,8 +365,9 @@ class McSummary:
     """Replicate aggregates of rho_hat, one column per estimator row.
 
     ``quantiles`` maps percent points to per-row arrays.  Oracle
-    columns are filled when the model provides closed forms and both
-    sets are the exceedance ray (1, inf); otherwise None.  ``mean_m``
+    columns are filled from the model's ``law`` (see
+    :mod:`extremogram.oracles`) when it has one and both sets are the
+    exceedance ray (1, inf); otherwise None.  ``mean_m``
     is the average tail index across usable replicates (constant for
     quantile rules).  ``failed_by_reason`` counts the failed replicates
     by exception class name.
@@ -411,16 +395,13 @@ def _describe(model) -> str:
 
 
 def _attach_oracles(model, lags, set_a, set_b, mean_m):
-    if set_a != _RAY or set_b != _RAY or not lags:
+    law = getattr(model, "law", None)
+    if law is None or set_a != _RAY or set_b != _RAY or not lags:
         return None, None
-    get_limit = getattr(model, "oracle_limit", None)
-    get_pa = getattr(model, "oracle_pa", None)
-    limit = pa = None
     try:
-        if callable(get_limit):
-            limit = np.array([get_limit(lag) for lag in lags])
-        if callable(get_pa) and math.isfinite(mean_m):
-            pa = np.array([get_pa(lag, mean_m) for lag in lags])
+        limit = np.array([law.oracle_limit(lag) for lag in lags])
+        pa = (np.array([law.oracle_pa(lag, mean_m) for lag in lags])
+              if math.isfinite(mean_m) else None)
     except ExtremogramError:
         return None, None
     return limit, pa
@@ -491,7 +472,8 @@ def mc_study(
     factorization, too few points) is excluded and counted in
     ``n_failed`` and, by exception class, in ``failed_by_reason``;
     aggregation runs over the rest (all-NaN aggregates and empty rows
-    when nothing succeeded).  Other errors are raised.
+    when nothing succeeded).  Other errors are raised.  Oracle columns
+    come from ``model.law`` at ``mean_m`` (see :class:`McSummary`).
     """
     summary, _ = _replicates(model, set_a, set_b, rule, config, lags, n_reps, seed, ())
     limit, pa = _attach_oracles(model, summary.lags, set_a, set_b, summary.mean_m)

@@ -7,7 +7,10 @@ These are the analytic targets the estimators are judged against:
 * finite-threshold ("pre-asymptotic") versions of both, exact at tail
   index m under the Frechet marginal algebra,
 * the Husler-Reiss bivariate CDF and the Brown-Resnick tail dependence
-  derived from it, again with limit and finite-m versions.
+  derived from it, again with limit and finite-m versions,
+* the law of each simulated field, held by its model as ``law``: an
+  ``IidLaw``, ``MmaLaw`` or ``BrLaw`` with ``oracle_limit(lag)`` and
+  ``oracle_pa(lag, m)``.
 
 Everything here is deterministic, cheap, and independent of the
 estimator code paths, so tests can use these functions as oracles.
@@ -21,9 +24,12 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedSets
 from .fields import ExtremeSet, Lag, as_lag
-from .simulate import VariogramSpec, WeightSpec
+from .simulate import MmaPlan, VariogramSpec, WeightSpec
 
 __all__ = [
+    "IidLaw",
+    "MmaLaw",
+    "BrLaw",
     "LatticeCount",
     "PaValue",
     "mma_extremogram",
@@ -60,29 +66,64 @@ def _check_ray_sets(set_a, set_b):
             )
 
 
+class IidLaw:
+    """Independent unit-Frechet values: dependent at lag 0 only."""
+
+    def oracle_limit(self, lag: Lag) -> float:
+        return 1.0 if lag.norm == 0.0 else 0.0
+
+    def oracle_pa(self, lag: Lag, m: float) -> float:
+        return 1.0 if lag.norm == 0.0 else 1.0 / m
+
+
 # ---------------------------------------------------------------------------
 # max-moving averages
 
 
-def _mma_overlap(weights: WeightSpec, lag: Lag, d: int):
-    """(sum_s min(w(s), w(h+s)), sum_s w(s)) over the truncated support.
+class MmaLaw:
+    """Tail dependence of the MMA field whose draws ``plan`` serves.
 
-    w(h+s) is read from the weights scattered on a dense grid over the
-    support's bounding box (zero outside it).  The numerator is summed
-    left to right in support order by ``cumsum``, as a scalar loop would.
+    Reads the plan's truncated support in support order and scatters its
+    weights on a dense grid over the support's bounding box (zero outside
+    it), where w(h+s) is looked up.  Weights at s and s + h overlap only
+    for |h| <= ``reach``, twice the truncation radius.
     """
-    offsets, wts = weights.support(d)
-    low = offsets.min(axis=0)
-    grid = np.zeros(offsets.max(axis=0) - low + 1)
-    grid[tuple((offsets - low).T)] = wts
-    # a lag component at or past the box width overlaps nothing; clipping
-    # it to the width keeps huge lags within int64 in the sum below
-    h = [min(max(c, -n), n) for c, n in zip(lag.int_offset(), grid.shape)]
-    shifted = offsets + h - low
-    inside = np.all((shifted >= 0) & (shifted < grid.shape), axis=1)
-    other = np.zeros(len(wts))
-    other[inside] = grid[tuple(shifted[inside].T)]
-    return float(np.cumsum(np.minimum(wts, other))[-1]), float(wts.sum())
+
+    def __init__(self, plan: MmaPlan):
+        self.d = plan.d
+        self.offsets, self.wts = plan.support
+        self.low = self.offsets.min(axis=0)
+        self.grid = np.zeros(self.offsets.max(axis=0) - self.low + 1)
+        self.grid[tuple((self.offsets - self.low).T)] = self.wts
+        self.reach = 2.0 * plan.weights.truncation(plan.d)
+
+    def oracle_limit(self, lag: Lag) -> float:
+        """``sum_s min(w(s), w(h+s)) / sum_s w(s)`` over the truncated support.
+
+        The numerator is summed left to right in support order by
+        ``cumsum``, as a scalar loop would.
+        """
+        if not lag.is_integer or lag.d != self.d:
+            raise ValueError(f"{self.d}-d MMA lags live on the integer lattice, got {lag.offset}")
+        # a lag component at or past the box width overlaps nothing; clipping
+        # it to the width keeps huge lags within int64 in the sum below
+        h = [min(max(c, -n), n) for c, n in zip(lag.int_offset(), self.grid.shape)]
+        shifted = self.offsets + h - self.low
+        inside = np.all((shifted >= 0) & (shifted < self.grid.shape), axis=1)
+        other = np.zeros(len(self.wts))
+        other[inside] = self.grid[tuple(shifted[inside].T)]
+        return float(np.cumsum(np.minimum(self.wts, other))[-1]) / float(self.wts.sum())
+
+    def oracle_pa(self, lag: Lag, m: float) -> float:
+        return _mma_pa(self.oracle_limit(lag), m)
+
+
+def _mma_pa(rho_limit: float, m: float) -> float:
+    if not m > 1:
+        raise DomainError(f"tail index m must exceed 1, got {m}")
+    kappa = 2.0 - rho_limit  # 2 at rho_limit = 0, where the formula is 1/m up to rounding
+    rho_pa = 1.0 / m if rho_limit == 0.0 else (2.0 / m - 1.0 + (1.0 - 1.0 / m) ** kappa) * m
+    return float(rho_pa)
 
 
 def mma_extremogram(
@@ -99,10 +140,7 @@ def mma_extremogram(
     """
     _check_ray_sets(set_a, set_b)
     lag = as_lag(h)
-    if not lag.is_integer:
-        raise ValueError(f"MMA lags live on the integer lattice, got {lag.offset}")
-    num, tot = _mma_overlap(weights, lag, lag.d)
-    return num / tot
+    return MmaLaw(MmaPlan(weights, lag.d)).oracle_limit(lag)
 
 
 def mma_pa_extremogram(weights: WeightSpec, h, m: float) -> PaValue:
@@ -115,15 +153,14 @@ def mma_pa_extremogram(weights: WeightSpec, h, m: float) -> PaValue:
 
         rho_m(h) = (2/m - 1 + (1 - 1/m)^kappa) / (1/m).
 
-    Exact for every m > 1, and -> rho_limit as m grows.
+    Exact for every m > 1 in exact arithmetic, and -> rho_limit as m
+    grows.  In floating point the sum cancels as m grows: for
+    geometric(0.5) at lag (1, 0) it gives 1.1102 at m = 1e16 and 0.0 at
+    m = 1e17, against the limit 0.7733.
     """
-    if not m > 1:
-        raise DomainError(f"tail index m must exceed 1, got {m}")
     lag = as_lag(h)
-    rho_limit = mma_extremogram(weights, lag)
-    kappa = 2.0 - rho_limit  # 2 at rho_limit = 0, where the formula is 1/m up to rounding
-    rho_pa = 1.0 / m if rho_limit == 0.0 else (2.0 / m - 1.0 + (1.0 - 1.0 / m) ** kappa) * m
-    return PaValue(lag=lag, m=float(m), rho_pa=float(rho_pa), rho_limit=rho_limit)
+    rho_limit = MmaLaw(MmaPlan(weights, lag.d)).oracle_limit(lag)
+    return PaValue(lag=lag, m=float(m), rho_pa=_mma_pa(rho_limit, m), rho_limit=rho_limit)
 
 
 _MMA1_BY_NORMSQ = {0.0: 1.0, 1.0: 2.0 / 5.0, 2.0: 2.0 / 5.0, 4.0: 1.0 / 5.0}
@@ -361,3 +398,17 @@ def br_pa_extremogram(
         rho_pa=tau / p,
         rho_limit=br_extremogram(lag, vario, c_a, c_b),
     )
+
+
+@dataclass(frozen=True)
+class BrLaw:
+    """Brown-Resnick field with lags counted in steps of ``spacing``."""
+
+    vario: VariogramSpec
+    spacing: float = 1.0
+
+    def oracle_limit(self, lag: Lag) -> float:
+        return br_extremogram(lag.norm * self.spacing, self.vario)
+
+    def oracle_pa(self, lag: Lag, m: float) -> float:
+        return br_pa_extremogram(lag.norm * self.spacing, self.vario, m=m).rho_pa

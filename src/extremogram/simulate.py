@@ -31,6 +31,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -308,21 +309,26 @@ def sim_frechet_iid(dims, seed: int) -> LatticeField:
 class MmaPlan:
     """Value-free part of an MMA draw in ``d`` dimensions.
 
-    Holds the truncated support of ``weights`` grouped into equal-weight
-    shells, heaviest first, each a ``(weight, offsets)`` pair, and the
-    noise pad per axis.  It depends on (weights, d) only, so one plan
-    serves every grid and seed of that dimension.
+    Holds the truncated ``support`` of ``weights`` as ``(offsets, wts)``,
+    the noise pad per axis, and, sorted on first use, the support grouped
+    into equal-weight ``shells``, heaviest first, each a ``(weight,
+    offsets)`` pair.  It depends on (weights, d) only, so one plan serves
+    every grid and seed of that dimension, and the law of the weights.
     """
 
     def __init__(self, weights: WeightSpec, d: int):
-        offsets, wts = weights.support(d)
         self.weights = weights
         self.d = d
-        self.pad = tuple(int(np.abs(offsets[:, i]).max()) for i in range(d))
+        self.support = weights.support(d)
+        self.pad = tuple(int(np.abs(self.support[0][:, i]).max()) for i in range(d))
+
+    @cached_property
+    def shells(self) -> tuple:
+        offsets, wts = self.support
         order = np.argsort(-wts, kind="stable")
         wts = wts[order]
         starts = np.flatnonzero(np.diff(wts)) + 1
-        self.shells = tuple(zip(wts[np.r_[0, starts]], np.split(offsets[order], starts)))
+        return tuple(zip(wts[np.r_[0, starts]], np.split(offsets[order], starts)))
 
 
 def sim_mma(dims, weights: WeightSpec, seed: int, *, plan: MmaPlan | None = None) -> LatticeField:
@@ -506,12 +512,10 @@ def _sim_br_spectral(plan, rng):
     )
 
 
-def _gauss_to_frechet(gauss):
-    """-1/log(min(Phi(g), _PHI_CLIP)): standard normal to unit Frechet."""
-    from scipy.special import ndtr
-
+def _phi_to_frechet(phi):
+    """-1/log(min(phi, _PHI_CLIP)): standard normal CDF values to unit Frechet."""
     with np.errstate(divide="ignore"):
-        return -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
+        return -1.0 / np.log(np.minimum(phi, _PHI_CLIP))
 
 
 def _sim_br_gaussian_max(plan, rng):
@@ -529,14 +533,15 @@ def _sim_br_gaussian_max(plan, rng):
     n_rep = plan.config.n_gaussians
     gauss = plan.factor @ rng.standard_normal((len(plan.sites), n_rep))
     top = gauss.max(axis=1)
-    values = _gauss_to_frechet(top)
+    phi_top = ndtr(top)
+    values = _phi_to_frechet(phi_top)
     near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
-    values[near] = _gauss_to_frechet(gauss[near]).max(axis=1)
+    values[near] = _phi_to_frechet(ndtr(gauss[near])).max(axis=1)
     return BrSimResult(
         values=values / n_rep,
         truncation_fraction=None,
         method="gaussian_max",
-        clip_fraction=float(np.mean(ndtr(top) >= _PHI_CLIP)) if len(plan.sites) else 0.0,
+        clip_fraction=float(np.mean(phi_top >= _PHI_CLIP)) if len(plan.sites) else 0.0,
     )
 
 

@@ -127,6 +127,16 @@ def test_oracle_geometric_requires_phi(capsys):
     assert code == 1 and "--phi" in err
 
 
+@pytest.mark.parametrize("model", ["mma1", "brown-resnick"])
+def test_oracle_refuses_phi_for_other_models(capsys, model):
+    code, out, err = run(capsys, "oracle", "--model", model, "--phi", "0.5", "--lags", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "message": f"--phi applies to --model geometric only, not {model}",
+    }
+
+
 def test_oracle_brown_resnick(capsys):
     code, out, _ = run(capsys, "oracle", "--model", "brown-resnick",
                        "--lags", "0,1", "--theta", "1.0", "--alpha", "1.0")
@@ -146,8 +156,8 @@ def test_oracle_reports_the_law_mc_simulates(capsys):
     # the distances snap to these lattice lags; 5 is first met at (4, 3)
     for row, lag in zip(rows, [Lag.of(1, 0), Lag.of(2, 0), Lag.of(4, 3)], strict=True):
         pa = mma_pa_extremogram(WeightSpec.geometric(0.9), lag, 10.0)
-        assert float(row["rho_limit"]) == model.oracle_limit(lag) == pa.rho_limit
-        assert float(row["rho_pa"]) == model.oracle_pa(lag, 10.0) == pa.rho_pa
+        assert float(row["rho_limit"]) == model.law.oracle_limit(lag) == pa.rho_limit
+        assert float(row["rho_pa"]) == model.law.oracle_pa(lag, 10.0) == pa.rho_pa
 
 
 def _full_scan_snap(dist):

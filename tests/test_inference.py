@@ -418,11 +418,21 @@ def test_br_model_factors_once_per_study(config, monkeypatch):
 
 
 def test_mma_model_sorts_its_shells_once_per_study(monkeypatch):
-    calls = _calls_under(monkeypatch, WeightSpec, "support", MmaModel.simulate)
+    # every support of the study, for the draws and the oracles alike
+    calls = _calls_under(monkeypatch, WeightSpec, "support", mc_study)
     model = MmaModel((12, 12), WeightSpec.geometric(0.5))
     s = mc_study(model, RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=4, seed=0)
-    assert s.n_used == 4 and s.oracle_limit is not None  # the oracle reads the support too
-    assert calls.count(True) == 1
+    assert s.n_used == 4 and s.oracle_limit is not None and s.oracle_pa is not None
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("lag", [Lag.of(1), Lag.of(1, 0, 0), Lag.of(0.5, 0)])
+def test_mma_law_refuses_a_lag_off_its_lattice(lag):
+    law = MmaModel((10, 10), WeightSpec.indicator_ball(1.0)).law
+    with pytest.raises(ValueError, match="2-d MMA lags"):
+        law.oracle_limit(lag)
+    with pytest.raises(ValueError, match="2-d MMA lags"):
+        law.oracle_pa(lag, 10.0)
 
 
 def test_a_br_model_that_cannot_factor_fails_every_replicate(monkeypatch):
@@ -452,22 +462,22 @@ def test_mc_study_iid_mean_near_pa_level():
 
 def test_model_oracles():
     mma = MmaModel((10, 10), WeightSpec.indicator_ball(1.0))
-    assert mma.oracle_limit(Lag.of(1, 0)) == pytest.approx(0.4, abs=1e-12)
+    assert mma.law.oracle_limit(Lag.of(1, 0)) == pytest.approx(0.4, abs=1e-12)
     fre = FrechetModel((10, 10))
-    assert fre.oracle_limit(Lag.of(0, 0)) == 1.0
-    assert fre.oracle_limit(Lag.of(3, 1)) == 0.0
-    assert fre.oracle_pa(Lag.of(3, 1), 20.0) == 0.05
+    assert fre.law.oracle_limit(Lag.of(0, 0)) == 1.0
+    assert fre.law.oracle_limit(Lag.of(3, 1)) == 0.0
+    assert fre.law.oracle_pa(Lag.of(3, 1), 20.0) == 0.05
 
     vario = VariogramSpec(theta=1.0, alpha=1.0)
     br = BrLatticeModel((5, 5), vario, BrSimConfig.spectral(200), spacing=0.5)
     grid_lag = Lag.of(2, 0)  # physical distance 1.0
-    assert br.oracle_limit(grid_lag) == br_extremogram(Lag.of(1.0, 0.0), vario)
+    assert br.law.oracle_limit(grid_lag) == br_extremogram(Lag.of(1.0, 0.0), vario)
     assert br.sites.shape == (25, 2)
 
     ppm = PointProcessModel((0, 5, 0, 5), CountRule.fixed(50),
                             FieldSource.frechet_iid())
-    assert ppm.oracle_limit(Lag.of(1.0, 0.0)) == 0.0
-    assert ppm.oracle_pa(Lag.of(1.0, 0.0), 10.0) == 0.1
+    assert ppm.law.oracle_limit(Lag.of(1.0, 0.0)) == 0.0
+    assert ppm.law.oracle_pa(Lag.of(1.0, 0.0), 10.0) == 0.1
     assert "point-field" in ppm.describe()
 
 

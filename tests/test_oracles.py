@@ -14,6 +14,7 @@ import pytest
 from extremogram import (
     DomainError,
     Lag,
+    MmaPlan,
     UnsupportedSets,
     VariogramSpec,
     WeightSpec,
@@ -30,7 +31,7 @@ from extremogram import (
     mma_pa_extremogram,
 )
 from extremogram.fields import ExtremeSet
-from extremogram.oracles import _mma_overlap, br_pa_exceedance
+from extremogram.oracles import MmaLaw, br_pa_exceedance
 
 M_3PCT = 100.0 / 3.0  # tail index for a 3% exceedance rate
 
@@ -145,7 +146,7 @@ def test_geometric_classsum_equals_minsum_enumeration():
             assert direct == pytest.approx(classsum, abs=1e-10), (phi, off)
 
 
-def _mma_overlap_by_dict(weights, lag, d):
+def _mma_limit_by_dict(weights, lag, d):
     """Reference: the scalar loop over an offset -> weight dict."""
     offsets, wts = weights.support(d)
     table = {tuple(int(c) for c in off): float(w) for off, w in zip(offsets, wts)}
@@ -154,7 +155,7 @@ def _mma_overlap_by_dict(weights, lag, d):
     for off, w in table.items():
         shifted = tuple(o + hh for o, hh in zip(off, h))
         num += min(w, table.get(shifted, 0.0))
-    return num, float(wts.sum())
+    return num / float(wts.sum())
 
 
 def test_mma_overlap_equals_the_dict_loop():
@@ -175,10 +176,11 @@ def test_mma_overlap_equals_the_dict_loop():
          [(0, 0, 0), (1, -2, 3), (-1, 2, -3), (-2, 2, -1), (5, 5, 5)]),
     ]
     for weights, lags in cases:
+        law = MmaLaw(MmaPlan(weights, len(lags[0])))
         for h in lags:
             lag = Lag.of(*h)
-            got = _mma_overlap(weights, lag, lag.d)
-            assert got == _mma_overlap_by_dict(weights, lag, lag.d), (weights.label(), h)
+            assert law.oracle_limit(lag) == _mma_limit_by_dict(weights, lag, lag.d), (
+                weights.label(), h)
 
 
 def test_geometric_pa_frozen_values():
