@@ -22,14 +22,11 @@ from .errors import (
     DataFormatError,
     DegenerateDenominator,
     DegenerateThreshold,
-    DomainError,
     EmptyField,
     EmptyInput,
+    ExtremogramError,
     FactorizationFailure,
-    LagOutOfRange,
     NonDivisibleBlock,
-    TooFewPermutations,
-    UnsupportedSets,
     WindowOutOfRange,
 )
 from .fields import (
@@ -65,30 +62,6 @@ from .simulate import (
 
 __all__ = ["main"]
 
-# exception -> exit code 1 (bad flags or parameter combinations)
-_CONFIG_ERRORS = (
-    ValueError,
-    DomainError,
-    LagOutOfRange,
-    UnsupportedSets,
-    TooFewPermutations,
-)
-# exception -> exit code 2 (the input data cannot be used)
-_DATA_ERRORS = (
-    DataFormatError,
-    EmptyInput,
-    EmptyField,
-    NonDivisibleBlock,
-    WindowOutOfRange,
-    OSError,
-)
-# exception -> exit code 3 (estimation ran but degenerated)
-_DEGENERATE_ERRORS = (
-    DegenerateThreshold,
-    DegenerateDenominator,
-    FactorizationFailure,
-)
-
 
 class UsageError(Exception):
     pass
@@ -96,11 +69,14 @@ class UsageError(Exception):
 
 # checked in order: the first matching row gives the exit code
 _EXIT_CODES = (
-    ((UsageError,), 1),
-    (_DEGENERATE_ERRORS, 3),
-    (_DATA_ERRORS, 2),
-    (_CONFIG_ERRORS, 1),
+    # estimation ran but degenerated
+    ((DegenerateThreshold, DegenerateDenominator, FactorizationFailure), 3),
+    # the input data cannot be used
+    ((DataFormatError, EmptyInput, EmptyField, NonDivisibleBlock, WindowOutOfRange, OSError), 2),
+    # bad flags or parameter combinations
+    ((UsageError, ValueError, ExtremogramError), 1),
 )
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,6 +431,8 @@ def _cmd_rate_check(args) -> int:
         raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     ref = _parse_lag_spec(args.ref_lag)
     if ref[0] == "vectors":
+        if len(ref[1]) != 1:
+            raise UsageError(f"--ref-lag takes one lag, got {args.ref_lag!r}")
         ref_lag = Lag.of(*ref[1][0])
     elif ref[0] == "list":
         ref_lag = Lag.of(*ref[1])
@@ -617,7 +595,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # -h/--help
         return int(exc.code or 0)
-    except (UsageError, *_DEGENERATE_ERRORS, *_DATA_ERRORS, *_CONFIG_ERRORS) as exc:
+    except _HANDLED as exc:
         code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

@@ -512,15 +512,18 @@ def clt_rate_check(
 ) -> RateCheck:
     """How fast the estimator variance shrinks as the grid grows.
 
-    ``make_model(size)`` must build the model at linear size ``size``.
-    A quantile threshold is required so the tail index m stays fixed
-    across sizes; otherwise the rate comparison is meaningless.
+    ``make_model(size)`` must build the model at linear size ``size``,
+    for distinct ``sizes``.  A quantile threshold is required so the
+    tail index m stays fixed across sizes; otherwise the rate
+    comparison is meaningless.
     """
     if rule.kind != "quantile":
         raise DomainError("rate check requires a quantile threshold rule (fixed m)")
     size_list = [int(n) for n in sizes]
     if not size_list:
         raise ValueError("need at least one size")
+    if len(set(size_list)) != len(size_list):
+        raise ValueError(f"sizes must be distinct, got {size_list}")
     lag = as_lag(ref_lag)
     stats = []
     for size in size_list:

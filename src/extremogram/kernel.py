@@ -17,14 +17,14 @@ summed in ascending order, so results are independent of point storage
 order and bit-identical to a brute-force double loop that sums the same
 way.
 
-Every estimate runs over one value-free :class:`KernelPlan`; values
-enter only as indicator vectors with a leading batch axis, so the same
-plan counts one field or a whole batch of shuffles of it.
+Every estimate runs over one value-free :class:`KernelPlan`, which also
+pools the output rows; values enter only as indicator vectors with a
+leading batch axis, so the same plan serves one field or its shuffles.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,13 +168,20 @@ class KernelPlan:
     and the points s_j, at a radius slightly above the support's; the
     support test ``|(s_i - s_j) + h|^2 / lambda^2 <= 1/4`` then decides
     membership.
+    ``lags`` and ``pair_count`` are per lag; ``row_lags`` and
+    ``distances`` label the rows ``pool`` forms.
     """
 
     def __init__(self, locations: np.ndarray, kernel: KernelSpec, lags, by_distance: bool = False):
         from scipy.spatial import cKDTree
 
+        self.locations = locations
         self.by_distance = by_distance
         self.lags = tuple(as_lag(h, d=2) for h in (_rings(lags) if by_distance else lags))
+        # a ring is one lag, or _N_ANGLES lags starting at angle 0, at Lag.of(r, 0)
+        self._ring = _N_ANGLES if by_distance else 1
+        self.row_lags = self.lags[::self._ring]
+        self.distances = np.array([lag.norm for lag in self.row_lags])
         if not self.lags:
             raise ValueError("no lags to estimate: give at least one lag or distance")
         tree = cKDTree(locations)
@@ -208,14 +215,17 @@ class KernelPlan:
             sums[:, k] = [w[row].sum() for row in both]
         return hits, sums
 
+    def pool(self, per_lag: np.ndarray, reduce=np.sum) -> np.ndarray:
+        """Output rows: the last (lag) axis of ``per_lag`` reduced ring by ring."""
+        return reduce(per_lag.reshape(*per_lag.shape[:-1], -1, self._ring), axis=-1)
+
     def shuffle_rho(self, pf: PointField, ind_a, ind_b, observed: EseResult) -> np.ndarray:
         """rho_hat rows of shuffles of ``pf``, given as its indicator
         vectors gathered through each permutation, at the threshold, m
         and intensity of ``observed``."""
         m, nu_used = observed.m, observed.nu_used
         p_hat, _ = _p_hat(pf, observed.set_a, observed.a_m, m, nu_used)
-        rho = _tau(self.counts(ind_a, ind_b)[1], m, nu_used, pf.area) / p_hat
-        return _ring_pool(rho, np.mean) if self.by_distance else rho
+        return self.pool(_tau(self.counts(ind_a, ind_b)[1], m, nu_used, pf.area) / p_hat, np.mean)
 
 
 def _tau(sums, m: float, nu_used: float, area: float):
@@ -242,11 +252,14 @@ def kernel_tau_hat(
 
     ``plan`` is ``KernelPlan(pf.locations, kernel, lags)`` built
     beforehand, so that several estimates can share it; it is used as
-    given, in place of ``lags``, and does not change the output.
+    given, in place of ``lags``, and does not change the output.  A
+    plan built for other locations is refused (ValueError).
     """
     if pf.n_points < 2:
         raise EmptyField("kernel pair sums need at least 2 points")
     plan = plan or KernelPlan(pf.locations, kernel, lags)
+    if not np.array_equal(plan.locations, pf.locations):
+        raise ValueError("KernelPlan was built for other locations")
     nu_used = _resolve_nu(pf, nu)
     a_m, m = resolve_threshold(pf.values, rule)
     hits, sums = plan.counts(
@@ -281,8 +294,10 @@ def kernel_ese(
     ``bandwidth_degenerate`` set rather than an error.
 
     ``plan`` is as in :func:`kernel_tau_hat`: used as given, in place
-    of ``lags``, without changing the output.
+    of ``lags``, without changing the output; a by-distance plan gives
+    the rows of :func:`kernel_ese_by_distance`.
     """
+    plan = plan or KernelPlan(pf.locations, kernel, lags)
     taus = kernel_tau_hat(pf, set_a, set_b, rule, kernel, lags, nu, plan=plan)
     a_m, m, nu_used = taus.a_m, taus.m, taus.nu_used
     p_hat, n_a = _p_hat(pf, set_a, a_m, m, nu_used)
@@ -291,17 +306,18 @@ def kernel_ese(
             f"no point lands in {set_a.label()} at threshold {a_m:g}"
         )
     return EseResult(
-        lags=taus.lags,
-        distances=np.array([lag.norm for lag in taus.lags]),
-        rho_hat=taus.tau / p_hat,
-        pair_count=taus.pair_count,
-        exceed_count=taus.exceed_count,
+        lags=plan.row_lags,
+        distances=plan.distances,
+        rho_hat=plan.pool(taus.tau / p_hat, np.mean),
+        pair_count=plan.pool(taus.pair_count),
+        exceed_count=plan.pool(taus.exceed_count),
         a_m=a_m,
         m=m,
         set_a=set_a,
         set_b=set_b,
         denom_rate=n_a / pf.n_points,
         mode="kernel",
+        by_distance=plan.by_distance,
         bandwidth_degenerate=taus.degenerate,
         nu_used=nu_used,
     )
@@ -318,11 +334,6 @@ def _rings(distances) -> list[Lag]:
         for r in dists
         for ang in (2.0 * math.pi * k / _N_ANGLES for k in range(_N_ANGLES))
     ]
-
-
-def _ring_pool(per_lag: np.ndarray, reduce) -> np.ndarray:
-    """Reduce the last (ring lag) axis of ``per_lag`` ring by ring."""
-    return reduce(per_lag.reshape(*per_lag.shape[:-1], -1, _N_ANGLES), axis=-1)
 
 
 def kernel_ese_by_distance(
@@ -345,17 +356,7 @@ def kernel_ese_by_distance(
 
     ``plan`` is ``KernelPlan(pf.locations, kernel, distances,
     by_distance=True)`` built beforehand; it is used as given, in place
-    of the rings of ``distances``, and does not change the output.
+    of ``distances``, and does not change the output.
     """
-    dists = np.atleast_1d(distances).astype(float)
-    plan = plan or KernelPlan(pf.locations, kernel, dists, by_distance=True)
-    per_lag = kernel_ese(pf, set_a, set_b, rule, kernel, plan.lags, nu, plan=plan)
-    return replace(
-        per_lag,
-        lags=tuple(Lag.of(r, 0.0) for r in dists),
-        distances=dists,
-        rho_hat=_ring_pool(per_lag.rho_hat, np.mean),
-        pair_count=_ring_pool(per_lag.pair_count, np.sum),
-        exceed_count=_ring_pool(per_lag.exceed_count, np.sum),
-        by_distance=True,
-    )
+    plan = plan or KernelPlan(pf.locations, kernel, distances, by_distance=True)
+    return kernel_ese(pf, set_a, set_b, rule, kernel, distances, nu, plan=plan)

@@ -11,9 +11,9 @@ pools every integer lag of equal norm into a single row, which is the
 natural display for isotropic fields.
 
 Both run over one :class:`LatticePlan`, the value-free geometry of an
-estimate (lag slices, pair counts, distance classes).  Values enter
-only as indicator grids with a leading batch axis, so the same plan
-counts one field or a whole batch of shuffles of it.
+estimate (lag slices, pair counts, distance classes), whose ``rows``
+take flat indicators with a leading batch axis: one evaluation gives
+the observed estimate and every shuffle of it.
 """
 from __future__ import annotations
 
@@ -83,6 +83,7 @@ class LatticePlan:
                 "no lags to estimate: give at least one lag, or a max distance of at least 1"
             )
         offsets = [_check_lag(dims, lag) for lag in lag_list]
+        self.dims = dims
         self._slices = [_lag_slices(dims, off) for off in offsets]
         lag_pairs = np.array(
             [math.prod(n - abs(o) for o, n in zip(off, dims)) for off in offsets],
@@ -111,54 +112,49 @@ class LatticePlan:
         """Sum per-lag columns of a (batch, lags) array into output rows."""
         return per_lag if self._members is None else per_lag @ self._members
 
-    def hits(self, ind_a: np.ndarray, ind_b: np.ndarray) -> np.ndarray:
-        """Pair hits per row for a batch of indicator grids.
-
-        ``ind_a`` and ``ind_b`` have shape ``(batch, *dims)``; A is read
-        at the displaced site t+h and B at the base site t.  Returns a
-        ``(batch, rows)`` int64 array.
-        """
-        per_lag = np.empty((ind_a.shape[0], len(self._slices)), dtype=np.int64)
+    def rows(self, ind_a: np.ndarray, ind_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hits, rho_hat), each ``(batch, rows)``, for flat indicator
+        batches of shape ``(batch, n_sites)``; A is read at the displaced
+        site t+h and B at the base site t.  Each batch row divides by its
+        own A-rate ``count_nonzero(ind_a) / n_sites``, which a shuffle keeps."""
+        grid_a, grid_b = (ind.reshape(len(ind), *self.dims) for ind in (ind_a, ind_b))
+        per_lag = np.empty((len(ind_a), len(self._slices)), dtype=np.int64)
         for k, (disp, base) in enumerate(self._slices):
-            both = ind_a[(Ellipsis, *disp)] & ind_b[(Ellipsis, *base)]
+            both = grid_a[(Ellipsis, *disp)] & grid_b[(Ellipsis, *base)]
             per_lag[:, k] = [np.count_nonzero(grid) for grid in both]
-        return self._pool(per_lag)
-
-    def rho(self, hits: np.ndarray, denom_rate: float) -> np.ndarray:
-        """rho_hat = [hits / n(h)] / denom_rate, elementwise over a hits batch."""
-        return (hits / self.pair_count) / denom_rate
+        hits = self._pool(per_lag)
+        rate_a = np.count_nonzero(ind_a, axis=1) / ind_a.shape[1]
+        return hits, (hits / self.pair_count) / rate_a[:, None]
 
     def shuffle_rho(self, field: LatticeField, ind_a, ind_b, observed: EseResult) -> np.ndarray:
         """rho_hat rows of shuffles of ``field``, given as its flat indicators
-        gathered through each permutation, at the denominator of ``observed``."""
-        shape = (len(ind_a), *field.dims)
-        hits = self.hits(ind_a.reshape(shape), ind_b.reshape(shape))
-        return self.rho(hits, observed.denom_rate)
+        gathered through each permutation."""
+        return self.rows(ind_a, ind_b)[1]
 
 
 def _estimate(field: LatticeField, set_a, set_b, rule, plan: LatticePlan) -> EseResult:
+    if plan.dims != field.dims:
+        raise ValueError(f"LatticePlan was built for a grid of {plan.dims}, field has {field.dims}")
     a_m, m = resolve_threshold(field.values, rule)
-    grid = field.grid
-    ind_a = set_a.indicator(grid, a_m)
-    ind_b = set_b.indicator(grid, a_m)
+    ind_a = set_a.indicator(field.values, a_m)
+    ind_b = set_b.indicator(field.values, a_m)
     n_a = int(np.count_nonzero(ind_a))
     if n_a == 0:
         raise DegenerateDenominator(
             f"no site lands in {set_a.label()} at threshold {a_m:g}"
         )
-    denom_rate = n_a / field.size
-    hits = plan.hits(ind_a[None], ind_b[None])
+    hits, rho_hat = plan.rows(ind_a[None], ind_b[None])
     return EseResult(
         lags=plan.lags,
         distances=plan.distances,
-        rho_hat=plan.rho(hits, denom_rate)[0],
+        rho_hat=rho_hat[0],
         pair_count=plan.pair_count,
         exceed_count=hits[0],
         a_m=a_m,
         m=m,
         set_a=set_a,
         set_b=set_b,
-        denom_rate=denom_rate,
+        denom_rate=n_a / field.size,
         mode="lattice",
         by_distance=plan.by_distance,
     )
@@ -184,7 +180,8 @@ def lattice_ese(
 
     ``plan`` is ``LatticePlan(field.dims, lags)`` built beforehand, so
     that several estimates can share it; it is used as given, in place
-    of ``lags``, and does not change the output.
+    of ``lags``, and does not change the output.  A plan built for a
+    grid of other ``dims`` is refused (ValueError).
     """
     return _estimate(field, set_a, set_b, rule, plan or LatticePlan(field.dims, lags))
 
@@ -208,7 +205,8 @@ def lattice_ese_by_distance(
 
     ``plan`` is ``LatticePlan(field.dims, max_dist, by_distance=True)``
     built beforehand; it is used as given, in place of ``max_dist``,
-    and does not change the output.
+    and does not change the output.  A plan built for a grid of other
+    ``dims`` is refused (ValueError).
     """
     plan = plan or LatticePlan(field.dims, max_dist, by_distance=True)
     return _estimate(field, set_a, set_b, rule, plan)

@@ -86,7 +86,8 @@ class MmaLaw:
     Reads the plan's truncated support in support order and scatters its
     weights on a dense grid over the support's bounding box (zero outside
     it), where w(h+s) is looked up.  Weights at s and s + h overlap only
-    for |h| <= ``reach``, twice the truncation radius.
+    for |h| <= ``reach``, twice the truncation radius.  Each lag's limit
+    is computed once and kept, as ``oracle_pa`` reads it too.
     """
 
     def __init__(self, plan: MmaPlan):
@@ -96,6 +97,7 @@ class MmaLaw:
         self.grid = np.zeros(self.offsets.max(axis=0) - self.low + 1)
         self.grid[tuple((self.offsets - self.low).T)] = self.wts
         self.reach = 2.0 * plan.weights.truncation(plan.d)
+        self._limits: dict[Lag, float] = {}
 
     def oracle_limit(self, lag: Lag) -> float:
         """``sum_s min(w(s), w(h+s)) / sum_s w(s)`` over the truncated support.
@@ -103,6 +105,11 @@ class MmaLaw:
         The numerator is summed left to right in support order by
         ``cumsum``, as a scalar loop would.
         """
+        if lag not in self._limits:
+            self._limits[lag] = self._limit(lag)
+        return self._limits[lag]
+
+    def _limit(self, lag: Lag) -> float:
         if not lag.is_integer or lag.d != self.d:
             raise ValueError(f"{self.d}-d MMA lags live on the integer lattice, got {lag.offset}")
         # a lag component at or past the box width overlaps nothing; clipping

@@ -28,6 +28,7 @@ from extremogram import (
     write_field,
     write_space_time,
 )
+from extremogram import cli, errors
 from extremogram.cli import _build_parser, _snap_distance, main
 
 
@@ -356,6 +357,37 @@ def test_rate_check_rejects_absolute_threshold(capsys):
                      "--sizes", "10,20", "--reps", "10", "--seed", "0",
                      "--threshold", "abs=1.0")
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--sizes", "10,10"], "ValueError"),
+    (["--ref-lag", "1,0;5,5"], "UsageError"),
+])
+def test_rate_check_refuses_repeated_sizes_and_several_ref_lags(capsys, flags, error):
+    code, out, err = run(capsys, "rate-check", "--model", "mma1", "--sizes", "10,20",
+                         "--reps", "4", "--seed", "0", *flags)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
+EXIT_CODES = {
+    "DegenerateThreshold": 3, "DegenerateDenominator": 3, "FactorizationFailure": 3,
+    "DataFormatError": 2, "EmptyInput": 2, "EmptyField": 2, "NonDivisibleBlock": 2,
+    "WindowOutOfRange": 2, "DomainError": 1, "LagOutOfRange": 1, "UnsupportedSets": 1,
+    "TooFewPermutations": 1, "ExtremogramError": 1, "FileNotFoundError": 2, "ValueError": 1,
+}
+
+
+@pytest.mark.parametrize("exc", [getattr(errors, name) for name in errors.__all__]
+                         + [FileNotFoundError, ValueError])
+def test_every_error_class_has_its_exit_code(monkeypatch, capsys, exc):
+    def fail(*args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "_snap_distance", fail)
+    code, out, err = run(capsys, "oracle", "--model", "mma1", "--lags", "1")
+    assert code == EXIT_CODES[exc.__name__] and out == ""
+    assert json.loads(err) == {"error": exc.__name__, "message": "boom"}
 
 
 def test_ingest_end_to_end(tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Dispatch, permutation bands, Monte Carlo harness, rate check."""
+import functools
 import math
 import sys
 
@@ -541,7 +542,48 @@ def test_rate_check_raises_a_draw_failure():
                        (1, 0), (6, 8), n_reps=3)
 
 
+def test_rate_check_refuses_repeated_sizes():
+    # a repeated size would rerun the same replicate streams
+    with pytest.raises(ValueError, match="distinct"):
+        clt_rate_check(lambda n: FrechetModel((n, n)), RAY, RAY, Q90, LAT,
+                       (1, 0), (10, 10), n_reps=3)
+
+
 def test_rate_check_rejects_zero_replicates():
     with pytest.raises(ValueError):
         clt_rate_check(lambda n: FrechetModel((n, n)), RAY, RAY, Q90, LAT,
                        (1, 0), (10,), n_reps=0)
+
+
+def _record_calls(monkeypatch, name, calls):
+    """Wrap ``<module>.<function>`` at every package attribute bound to it,
+    as a tracer of the package does, appending ``name`` to ``calls`` on
+    each call."""
+    mod_name, fn_name = name.split(".")
+    original = getattr(sys.modules[f"extremogram.{mod_name}"], fn_name)
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_key, mod in list(sys.modules.items()):
+        if mod is not None and mod_key.split(".")[0] == "extremogram":
+            for key, val in list(vars(mod).items()):
+                if val is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
+def test_traced_call_chains_reach_the_declared_estimators(monkeypatch):
+    # the benchmark's declared spans fire only through these module attributes
+    calls = []
+    _record_calls(monkeypatch, "kernel.kernel_tau_hat", calls)
+    _record_calls(monkeypatch, "lattice.lattice_ese_by_distance", calls)
+    kernel_ese_by_distance(_points60(), RAY, RAY, Q90, KBOX.kernel, [1.0])
+    assert calls == ["kernel.kernel_tau_hat"]
+    calls.clear()
+    run_estimator(_mma15(), RAY, RAY, Q90, LAT_BD, 2.0)
+    assert calls == ["lattice.lattice_ese_by_distance"]
+    calls.clear()
+    permutation_bands(_mma15(), RAY, RAY, Q90, LAT_BD, 2.0, n_perm=100, seed=0)
+    assert calls == ["lattice.lattice_ese_by_distance"]

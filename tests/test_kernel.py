@@ -1,4 +1,5 @@
 """Kernel estimator: normalization, exactness, and order invariances."""
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from extremogram import (
     sim_point_field,
 )
 from extremogram.kernel import KernelPlan
+from extremogram.results import EseResult
 
 RAY = ExtremeSet.ray(1.0)
 
@@ -349,3 +351,35 @@ def test_by_distance_plan_at_ten_distances_equals_double_loop():
     plan = KernelPlan(pf.locations, kernel, range(1, 11), by_distance=True)
     assert len(plan.lags) == 80 and np.all(plan.pair_count[-8:] > 0)
     _assert_plan_matches_double_loop(pf, (RAY, ExtremeSet(1.0, 3.0)), ThresholdRule.quantile(0.7), kernel, plan)
+
+
+def test_kernel_ese_over_a_by_distance_plan_equals_kernel_ese_by_distance():
+    pf = scatter(80, seed=24, side=8.0)
+    kernel, rule = KernelSpec.epanechnikov(1.5), ThresholdRule.quantile(0.8)
+    plan = KernelPlan(pf.locations, kernel, [1.0, 2.5], by_distance=True)
+    pooled = kernel_ese(pf, RAY, RAY, rule, kernel, plan.lags, plan=plan)
+    reference = kernel_ese_by_distance(pf, RAY, RAY, rule, kernel, [1.0, 2.5])
+    for f in dataclasses.fields(EseResult):
+        a, b = getattr(pooled, f.name), getattr(reference, f.name)
+        assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), f.name
+    assert pooled.lags == (Lag.of(1.0, 0.0), Lag.of(2.5, 0.0)) and pooled.by_distance
+
+
+def test_a_by_distance_plan_labels_the_rows_with_its_own_distances():
+    pf = scatter(80, seed=25, side=8.0)
+    kernel, rule = KernelSpec.box(1.5), ThresholdRule.quantile(0.8)
+    plan = KernelPlan(pf.locations, kernel, [1.0], by_distance=True)
+    res = kernel_ese_by_distance(pf, RAY, RAY, rule, kernel, [3.0], plan=plan)
+    assert res.lags == (Lag.of(1.0, 0.0),) and res.distances.tolist() == [1.0]
+    assert res.rho_hat[0] == kernel_ese_by_distance(pf, RAY, RAY, rule, kernel, [1.0]).rho_hat[0]
+
+
+def test_a_plan_built_for_other_locations_is_refused():
+    pf, other = scatter(40, seed=26), scatter(40, seed=27)
+    kernel, rule = KernelSpec.box(2.0), ThresholdRule.quantile(0.8)
+    plan = KernelPlan(other.locations, kernel, [Lag.of(1.0, 0.0)])
+    with pytest.raises(ValueError, match="other locations"):
+        kernel_ese(pf, RAY, RAY, rule, kernel, plan.lags, plan=plan)
+    rings = KernelPlan(other.locations, kernel, [1.0], by_distance=True)
+    with pytest.raises(ValueError, match="other locations"):
+        kernel_ese_by_distance(pf, RAY, RAY, rule, kernel, [1.0], plan=rings)

@@ -23,6 +23,7 @@ from extremogram import (
     sim_mma,
     WeightSpec,
 )
+from extremogram.lattice import LatticePlan
 
 RAY = ExtremeSet.ray(1.0)
 
@@ -266,3 +267,14 @@ def test_lattice_ese_equals_double_loop_property(case):
         hits, pairs, rho = brute_force(field, set_a, set_b, rule, lag)
         assert (res.exceed_count[i], res.pair_count[i]) == (hits, pairs)
         assert res.rho_hat[i] == rho
+
+
+def test_a_plan_built_for_another_grid_is_refused():
+    field = random_field((50, 50), seed=31)
+    rule = ThresholdRule.quantile(0.9)
+    with pytest.raises(ValueError, match="grid"):
+        lattice_ese(field, RAY, RAY, rule, [Lag.of(1, 0)],
+                    plan=LatticePlan((40, 40), [Lag.of(1, 0)]))
+    with pytest.raises(ValueError, match="grid"):
+        lattice_ese_by_distance(field, RAY, RAY, rule, 2.0,
+                                plan=LatticePlan((50, 40), 2.0, by_distance=True))

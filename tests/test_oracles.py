@@ -298,3 +298,15 @@ def test_br_guards():
         br_extremogram(Lag.of(1, 0), vario, c_a=-1.0)
     with pytest.raises(DomainError):
         br_pa_tau(Lag.of(1, 0), vario, m=1.0)
+
+
+def test_mma_law_computes_each_limit_once(monkeypatch):
+    law = MmaLaw(MmaPlan(WeightSpec.geometric(0.5), 2))
+    calls = []
+    limit = law._limit
+    monkeypatch.setattr(law, "_limit", lambda lag: calls.append(lag) or limit(lag))
+    lag = Lag.of(1, 0)
+    first = law.oracle_limit(lag)
+    assert law.oracle_limit(Lag.of(1.0, 0.0)) == first
+    assert law.oracle_pa(lag, 10.0) == mma_pa_extremogram(WeightSpec.geometric(0.5), lag, 10.0).rho_pa
+    assert calls == [lag]
