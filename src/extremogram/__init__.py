@@ -5,189 +5,26 @@ the extremogram of a heavy-tailed random field, estimated on regular
 lattices or scattered points, compared against closed-form limits and
 their finite-threshold corrections, with permutation bands and a Monte
 Carlo harness for calibration studies.
+
+The public names are those each module lists in its ``__all__``.
 """
-from .errors import (
-    DataFormatError,
-    DegenerateDenominator,
-    DegenerateThreshold,
-    DomainError,
-    EmptyField,
-    EmptyInput,
-    ExtremogramError,
-    FactorizationFailure,
-    LagOutOfRange,
-    NonDivisibleBlock,
-    TooFewPermutations,
-    UnsupportedSets,
-    WindowOutOfRange,
-)
-from .fields import (
-    ExtremeSet,
-    Lag,
-    LatticeField,
-    PointField,
-    ThresholdRule,
-    as_lag,
-    derive_rng,
-    derive_seed,
-    lag_grid,
-    resolve_threshold,
-)
-from .simulate import (
-    BrPlan,
-    BrSimConfig,
-    BrSimResult,
-    CountRule,
-    FieldSource,
-    MmaPlan,
-    VariogramSpec,
-    WeightSpec,
-    sim_brown_resnick,
-    sim_frechet_iid,
-    sim_gaussian_increments,
-    sim_mma,
-    sim_point_field,
-)
-from .results import EseResult
-from .lattice import lattice_ese, lattice_ese_by_distance
-from .kernel import (
-    KernelSpec,
-    KernelTau,
-    kernel_ese,
-    kernel_ese_by_distance,
-    kernel_p_hat,
-    kernel_tau_hat,
-)
-from .oracles import (
-    LatticeCount,
-    PaValue,
-    br_extremogram,
-    br_pa_extremogram,
-    br_pa_tau,
-    husler_reiss_cdf,
-    lattice_counts,
-    mma1_extremogram,
-    mma1_pa_extremogram,
-    mma_extremogram,
-    mma_geometric_extremogram_classsum,
-    mma_pa_extremogram,
-)
-from .inference import (
-    MC_QUANTILES,
-    BandResult,
-    BrLatticeModel,
-    EstimatorConfig,
-    FrechetModel,
-    McSummary,
-    MmaModel,
-    PointProcessModel,
-    RateCheck,
-    centered_grid_sites,
-    clt_rate_check,
-    mc_study,
-    permutation_bands,
-    run_estimator,
-)
-from .pipeline import SpaceTimeGrid, spatial_block_max, temporal_max
-from .fileio import (
-    ESE_COLUMNS,
-    EseTable,
-    read_ese,
-    sidecar_path,
-    read_field,
-    read_space_time,
-    write_ese,
-    write_field,
-    write_mc,
-    write_rate,
-    write_space_time,
-)
+from . import (errors, fields, simulate, results, lattice, kernel, oracles, inference,
+               pipeline, fileio)
+from .errors import *
+from .fields import *
+from .simulate import *
+from .results import *
+from .lattice import *
+from .kernel import *
+from .oracles import *
+from .inference import *
+from .pipeline import *
+from .fileio import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtremogramError",
-    "EmptyInput",
-    "EmptyField",
-    "DegenerateThreshold",
-    "DegenerateDenominator",
-    "DomainError",
-    "LagOutOfRange",
-    "FactorizationFailure",
-    "UnsupportedSets",
-    "NonDivisibleBlock",
-    "WindowOutOfRange",
-    "TooFewPermutations",
-    "DataFormatError",
-    "LatticeField",
-    "PointField",
-    "ExtremeSet",
-    "Lag",
-    "as_lag",
-    "ThresholdRule",
-    "resolve_threshold",
-    "lag_grid",
-    "derive_rng",
-    "derive_seed",
-    "WeightSpec",
-    "VariogramSpec",
-    "BrSimConfig",
-    "BrSimResult",
-    "MmaPlan",
-    "BrPlan",
-    "CountRule",
-    "FieldSource",
-    "sim_frechet_iid",
-    "sim_mma",
-    "sim_gaussian_increments",
-    "sim_brown_resnick",
-    "sim_point_field",
-    "EseResult",
-    "lattice_ese",
-    "lattice_ese_by_distance",
-    "KernelSpec",
-    "KernelTau",
-    "kernel_p_hat",
-    "kernel_tau_hat",
-    "kernel_ese",
-    "kernel_ese_by_distance",
-    "PaValue",
-    "LatticeCount",
-    "lattice_counts",
-    "mma_extremogram",
-    "mma_pa_extremogram",
-    "mma1_extremogram",
-    "mma1_pa_extremogram",
-    "mma_geometric_extremogram_classsum",
-    "husler_reiss_cdf",
-    "br_extremogram",
-    "br_pa_tau",
-    "br_pa_extremogram",
-    "EstimatorConfig",
-    "run_estimator",
-    "BandResult",
-    "permutation_bands",
-    "MmaModel",
-    "FrechetModel",
-    "BrLatticeModel",
-    "PointProcessModel",
-    "centered_grid_sites",
-    "MC_QUANTILES",
-    "McSummary",
-    "mc_study",
-    "RateCheck",
-    "clt_rate_check",
-    "SpaceTimeGrid",
-    "spatial_block_max",
-    "temporal_max",
-    "EseTable",
-    "write_field",
-    "read_field",
-    "write_ese",
-    "read_ese",
-    "write_space_time",
-    "read_space_time",
-    "write_mc",
-    "write_rate",
+    *(name for module in (errors, fields, simulate, results, lattice, kernel, oracles,
+                          inference, pipeline, fileio) for name in module.__all__),
     "__version__",
 ]

@@ -283,11 +283,9 @@ def _check_mode_matches(data, mode: str) -> None:
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    kernel = None
-    if args.mode == "kernel":
-        if args.bandwidth is None:
-            raise UsageError("--mode kernel requires --bandwidth")
-        kernel = KernelSpec(args.kernel, args.bandwidth)
+    if args.mode == "kernel" and args.bandwidth is None:
+        raise UsageError("--mode kernel requires --bandwidth")
+    kernel = None if args.bandwidth is None else KernelSpec(args.kernel, args.bandwidth)
     return EstimatorConfig(
         mode=args.mode,
         by_distance=args.by_distance,

@@ -30,7 +30,6 @@ from .errors import (
     DomainError,
     EmptyField,
     EmptyInput,
-    ExtremogramError,
     FactorizationFailure,
     TooFewPermutations,
 )
@@ -71,6 +70,8 @@ __all__ = [
     "FrechetModel",
     "BrLatticeModel",
     "PointProcessModel",
+    "centered_grid_sites",
+    "MC_QUANTILES",
     "estimator_plan",
     "run_estimator",
     "permutation_bands",
@@ -85,11 +86,11 @@ MC_QUANTILES = (2.5, 25.0, 50.0, 75.0, 97.5)
 class EstimatorConfig:
     """Which estimator to run and how.
 
-    mode "lattice" needs a LatticeField, mode "kernel" a PointField
-    plus a KernelSpec.  ``by_distance`` switches to one row per
-    distance (lattice: pooled equal-norm lags; kernel: rho averaged
-    over 8 directions).  ``nu`` is the known point intensity; None
-    means the plug-in N/|S|.
+    mode "lattice" needs a LatticeField and takes no kernel or ``nu``,
+    mode "kernel" a PointField plus a KernelSpec.  ``by_distance``
+    switches to one row per distance (lattice: pooled equal-norm lags;
+    kernel: rho averaged over 8 directions).  ``nu`` is the known point
+    intensity; None means the plug-in N/|S|.
     """
 
     mode: str
@@ -102,6 +103,8 @@ class EstimatorConfig:
             raise ValueError(f"mode must be 'lattice' or 'kernel', got {self.mode!r}")
         if self.mode == "kernel" and self.kernel is None:
             raise ValueError("kernel mode needs a KernelSpec")
+        if self.mode == "lattice" and (self.kernel is not None or self.nu is not None):
+            raise ValueError("a kernel and a known intensity nu apply to kernel mode only")
 
     def label(self) -> str:
         parts = [self.mode]
@@ -367,7 +370,9 @@ class McSummary:
     ``quantiles`` maps percent points to per-row arrays.  Oracle
     columns are filled from the model's ``law`` (see
     :mod:`extremogram.oracles`) when it has one and both sets are the
-    exceedance ray (1, inf); otherwise None.  ``mean_m``
+    exceedance ray (1, inf); otherwise None.  ``oracle_pa`` alone is
+    None where the law has no finite-m value at ``mean_m`` (MMA and
+    Brown-Resnick at m <= 1).  ``mean_m``
     is the average tail index across usable replicates (constant for
     quantile rules).  ``failed_by_reason`` counts the failed replicates
     by exception class name.
@@ -398,12 +403,12 @@ def _attach_oracles(model, lags, set_a, set_b, mean_m):
     law = getattr(model, "law", None)
     if law is None or set_a != _RAY or set_b != _RAY or not lags:
         return None, None
+    limit = np.array([law.oracle_limit(lag) for lag in lags])
     try:
-        limit = np.array([law.oracle_limit(lag) for lag in lags])
         pa = (np.array([law.oracle_pa(lag, mean_m) for lag in lags])
               if math.isfinite(mean_m) else None)
-    except ExtremogramError:
-        return None, None
+    except DomainError:  # the finite-m value is undefined at m <= 1
+        pa = None
     return limit, pa
 
 

@@ -176,6 +176,7 @@ class KernelPlan:
         from scipy.spatial import cKDTree
 
         self.locations = locations
+        self.kernel = kernel
         self.by_distance = by_distance
         self.lags = tuple(as_lag(h, d=2) for h in (_rings(lags) if by_distance else lags))
         # a ring is one lag, or _N_ANGLES lags starting at angle 0, at Lag.of(r, 0)
@@ -253,13 +254,16 @@ def kernel_tau_hat(
     ``plan`` is ``KernelPlan(pf.locations, kernel, lags)`` built
     beforehand, so that several estimates can share it; it is used as
     given, in place of ``lags``, and does not change the output.  A
-    plan built for other locations is refused (ValueError).
+    plan built for other locations or another kernel is refused
+    (ValueError).
     """
     if pf.n_points < 2:
         raise EmptyField("kernel pair sums need at least 2 points")
     plan = plan or KernelPlan(pf.locations, kernel, lags)
     if not np.array_equal(plan.locations, pf.locations):
         raise ValueError("KernelPlan was built for other locations")
+    if plan.kernel != kernel:
+        raise ValueError(f"KernelPlan was built for {plan.kernel.label()}, not {kernel.label()}")
     nu_used = _resolve_nu(pf, nu)
     a_m, m = resolve_threshold(pf.values, rule)
     hits, sums = plan.counts(

@@ -532,6 +532,16 @@ def test_every_failing_exit_prints_one_json_line(tmp_path, capsys):
         (2, "not found", ["estimate", "--input", str(tmp_path / "nope.csv"),
                           "--mode", "lattice", "--threshold", "q=0.9",
                           "--lags", "1,0;", "--out", str(tmp_path / "o.csv")]),
+        # kernel flags under lattice mode are refused before the input is read
+        (1, "kernel mode only", ["estimate", "--input", str(tmp_path / "nope.csv"),
+                                 "--mode", "lattice", "--nu", "known=5", "--threshold",
+                                 "q=0.9", "--lags", "1", "--out", str(tmp_path / "o.csv")]),
+        (1, "kernel mode only", ["estimate", "--input", str(tmp_path / "nope.csv"),
+                                 "--mode", "lattice", "--bandwidth", "1.0", "--threshold",
+                                 "q=0.9", "--lags", "1", "--out", str(tmp_path / "o.csv")]),
+        (1, "kernel mode only", ["mc", "--model", "mma1", "--dims", "8,8", "--nu", "known=5",
+                                 "--reps", "2", "--seed", "0", "--threshold", "q=0.9",
+                                 "--lags", "1"]),
     ]
     for expected, needle, argv in cases:
         code, _, err = run(capsys, *argv)

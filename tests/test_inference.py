@@ -74,6 +74,10 @@ def test_config_validation_and_label():
         EstimatorConfig(mode="nearest")
     with pytest.raises(ValueError):
         EstimatorConfig(mode="kernel")  # no KernelSpec
+    # the lattice estimate would ignore either, yet its label would name it
+    for extra in (dict(kernel=KernelSpec.box(1.0)), dict(nu=5.0)):
+        with pytest.raises(ValueError, match="kernel mode only"):
+            EstimatorConfig(mode="lattice", **extra)
     cfg = EstimatorConfig(mode="kernel", kernel=KernelSpec.box(1.0),
                           by_distance=True)
     assert "kernel" in cfg.label() and "by-distance" in cfg.label()
@@ -379,6 +383,17 @@ def test_mc_study_skips_oracles_for_other_sets():
     s = mc_study(model, ExtremeSet(1.0, 5.0), RAY, Q90, LAT,
                  [Lag.of(1, 0)], n_reps=4, seed=3)
     assert s.oracle_limit is None and s.oracle_pa is None
+
+
+def test_mc_study_keeps_the_limit_when_the_finite_m_value_is_undefined():
+    # every site exceeds a tiny absolute threshold, so m = 1: no PA value
+    model = MmaModel((12, 12), WeightSpec.indicator_ball(1.0))
+    s = mc_study(model, RAY, RAY, ThresholdRule.absolute(1e-9),
+                 EstimatorConfig(mode="lattice", by_distance=True), 2.0, n_reps=3, seed=0)
+    assert s.n_used == 3 and s.mean_m == 1.0
+    assert s.oracle_pa is None
+    assert s.oracle_limit.tolist() == [model.law.oracle_limit(lag) for lag in s.lags]
+    assert s.oracle_limit.tolist() == [0.4, 0.4, 0.2]
 
 
 def test_mc_study_counts_failures():

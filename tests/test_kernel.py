@@ -383,3 +383,14 @@ def test_a_plan_built_for_other_locations_is_refused():
     rings = KernelPlan(other.locations, kernel, [1.0], by_distance=True)
     with pytest.raises(ValueError, match="other locations"):
         kernel_ese_by_distance(pf, RAY, RAY, rule, kernel, [1.0], plan=rings)
+
+
+def test_a_plan_built_for_another_kernel_is_refused():
+    pf = sim_point_field((0, 14, 0, 14), CountRule.fixed(200), FieldSource.frechet_iid(), seed=3)
+    rule = ThresholdRule.quantile(0.9)
+    wide = KernelPlan(pf.locations, KernelSpec.box(3.0), [1.0], by_distance=True)
+    with pytest.raises(ValueError, match=r"box\(lambda=3\)"):
+        kernel_ese_by_distance(pf, RAY, RAY, rule, KernelSpec.box(1.0), [1.0], plan=wide)
+    shaped = KernelPlan(pf.locations, KernelSpec.epanechnikov(1.0), [Lag.of(1.0, 0.0)])
+    with pytest.raises(ValueError, match="epanechnikov"):
+        kernel_ese(pf, RAY, RAY, rule, KernelSpec.box(1.0), shaped.lags, plan=shaped)
