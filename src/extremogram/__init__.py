@@ -8,12 +8,11 @@ Carlo harness for calibration studies.
 
 The public names are those each module lists in its ``__all__``.
 """
-from . import (errors, fields, simulate, results, lattice, kernel, oracles, inference,
-               pipeline, fileio)
+from . import (errors, fields, simulate, lattice, kernel, oracles, inference, pipeline,
+               fileio)
 from .errors import *
 from .fields import *
 from .simulate import *
-from .results import *
 from .lattice import *
 from .kernel import *
 from .oracles import *
@@ -24,7 +23,7 @@ from .fileio import *
 __version__ = "0.1.0"
 
 __all__ = [
-    *(name for module in (errors, fields, simulate, results, lattice, kernel, oracles,
-                          inference, pipeline, fileio) for name in module.__all__),
+    *(name for module in (errors, fields, simulate, lattice, kernel, oracles, inference,
+                          pipeline, fileio) for name in module.__all__),
     "__version__",
 ]

@@ -1,10 +1,12 @@
-"""Core domain types: fields, extreme sets, lags, thresholds, seeding.
+"""Core domain types: fields, extreme sets, lags, thresholds, seeding,
+and the estimate record.
 
 The estimators in this package all consume one of two data containers, a
 :class:`LatticeField` (regular grid, d in {1, 2, 3}) or a
-:class:`PointField` (irregularly sampled planar field).  Both are immutable
-value types: the observation array is copied on construction and marked
-read-only, so results can never be invalidated by later mutation.
+:class:`PointField` (irregularly sampled planar field), and all return one
+:class:`EseResult`, which every writer reads.  All three are immutable
+value types: each array is copied on construction and marked read-only,
+so results can never be invalidated by later mutation.
 
 Randomness contract
 -------------------
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import DegenerateThreshold, EmptyInput
 
 __all__ = [
+    "EseResult",
     "LatticeField",
     "PointField",
     "ExtremeSet",
@@ -74,10 +77,9 @@ def grid_sides(dims) -> tuple[int, ...]:
         raise ValueError(f"grid sides must be integers, got {dims}") from None
 
 
-def _frozen_float_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if shape is not None:
-        arr = arr.reshape(shape)
+def _frozen(values, dtype=float) -> np.ndarray:
+    # C order, so that a reshape(-1) of the copy is a view and stays read-only
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -104,7 +106,7 @@ class LatticeField:
             raise ValueError(f"lattice dimension must be 1..3, got {len(dims)}")
         if any(n < 1 for n in dims):
             raise ValueError(f"all grid sides must be >= 1, got {dims}")
-        vals = _frozen_float_array(self.values, shape=(-1,))
+        vals = _frozen(self.values).reshape(-1)
         if vals.size != math.prod(dims):
             raise ValueError(
                 f"value count {vals.size} does not match grid {dims}"
@@ -146,10 +148,10 @@ class PointField:
     intensity_hint: float | None = None
 
     def __post_init__(self):
-        locs = _frozen_float_array(self.locations)
+        locs = _frozen(self.locations)
         if locs.ndim != 2 or locs.shape[1] != 2:
             raise ValueError(f"locations must have shape (N, 2), got {locs.shape}")
-        vals = _frozen_float_array(self.values, shape=(-1,))
+        vals = _frozen(self.values).reshape(-1)
         if vals.size != locs.shape[0]:
             raise ValueError("locations and values must have equal length")
         if vals.size and not np.all(np.isfinite(vals)):
@@ -387,3 +389,51 @@ def lag_grid(max_dist: float, d: int) -> list[Lag]:
         out.append(Lag(tuple(int(x) for x in row)))
     out.sort(key=lambda lag: (lag.norm_sq, lag.offset))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the estimate record
+
+
+@dataclass(frozen=True, eq=False)
+class EseResult:
+    """Per-row extremogram estimates with the counts behind them.
+
+    One row per vector lag, or per distance class when ``by_distance``
+    is set (``lags`` then holds one representative lag per class).
+    ``pair_count`` is the number of ordered pairs evaluated and
+    ``exceed_count`` the number that hit both sets; for kernel
+    estimates these count kernel-support visits instead, and
+    ``rho_hat`` comes from the weighted sums rather than the raw
+    counts.  ``denom_rate`` is the fraction of sites (or points) whose
+    value lands in the scaled A set.
+    """
+
+    lags: tuple[Lag, ...]
+    distances: np.ndarray
+    rho_hat: np.ndarray
+    pair_count: np.ndarray
+    exceed_count: np.ndarray
+    a_m: float
+    m: float
+    set_a: ExtremeSet
+    set_b: ExtremeSet
+    denom_rate: float
+    mode: str
+    by_distance: bool = False
+    bandwidth_degenerate: bool = False
+    nu_used: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "distances", _frozen(self.distances))
+        object.__setattr__(self, "rho_hat", _frozen(self.rho_hat))
+        object.__setattr__(self, "pair_count", _frozen(self.pair_count, np.int64))
+        object.__setattr__(self, "exceed_count", _frozen(self.exceed_count, np.int64))
+        n = len(self.lags)
+        for name in ("distances", "rho_hat", "pair_count", "exceed_count"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have one entry per row")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.lags)

@@ -26,18 +26,15 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError
-from .fields import LatticeField, PointField
+from .fields import EseResult, LatticeField, PointField
 from .inference import BandResult, McSummary, RateCheck
 from .pipeline import SpaceTimeGrid
-from .results import EseResult
 
 __all__ = [
-    "EseTable",
     "ESE_COLUMNS",
     "write_field",
     "read_field",
@@ -86,7 +83,8 @@ def _write_with_sidecar(path, table: str, meta: dict) -> None:
         raise ValueError(
             f"{path}: output path collides with its JSON sidecar; use another extension"
         )
-    side_text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    # allow_nan=False: strict JSON parsers reject NaN and Infinity
+    side_text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _write_text(path, table)
     _write_text(side, side_text)
 
@@ -280,20 +278,6 @@ def _checked(path, field_type, *args):
 # estimate files
 
 
-@dataclass(frozen=True, eq=False)
-class EseTable:
-    """Columns of an estimate CSV; band columns are NaN when absent."""
-
-    lag_x: np.ndarray
-    lag_y: np.ndarray
-    distance: np.ndarray
-    rho_hat: np.ndarray
-    pair_count: np.ndarray
-    exceed_count: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
-
-
 def _ese_meta(result: EseResult, band: BandResult | None, extra_meta) -> dict:
     meta = {
         "mode": result.mode,
@@ -344,8 +328,13 @@ def write_ese(path, result: EseResult, band: BandResult | None = None, extra_met
     _write_with_sidecar(path, _table(ESE_COLUMNS, columns), _ese_meta(result, band, extra_meta))
 
 
-def read_ese(path) -> tuple[EseTable, dict]:
-    """Read an estimate CSV and its sidecar (empty dict when absent)."""
+def read_ese(path) -> tuple[np.recarray, dict]:
+    """Read an estimate CSV and its sidecar (empty dict when absent).
+
+    The table is a record array with one field per ``ESE_COLUMNS``
+    entry, so ``table.rho_hat`` is that column; band columns are NaN
+    when absent.  The table is the caller's own, so it is writable.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or tuple(lines[0].split(",")) != ESE_COLUMNS:
@@ -361,7 +350,7 @@ def read_ese(path) -> tuple[EseTable, dict]:
                 meta = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{side}: bad JSON sidecar ({exc})") from exc
-    return EseTable(**{name: rows[name] for name in ESE_COLUMNS}), meta
+    return rows.view(np.recarray), meta
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +415,7 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
         "n_used": summary.n_used,
         "n_failed": summary.n_failed,
         "failed_by_reason": summary.failed_by_reason,
-        "mean_m": summary.mean_m,
+        "mean_m": None if math.isnan(summary.mean_m) else summary.mean_m,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -441,12 +430,13 @@ def _mc_columns(summary: McSummary):
 
 
 def _mc_stdout(summary: McSummary, by_distance: bool) -> str:
-    """The CLI's ``mc`` table, oracles when known: rows keyed by a short
-    distance or, for vector lags, by the lag itself."""
+    """The CLI's ``mc`` table with each oracle column the summary holds:
+    rows keyed by a short distance or, for vector lags, by the lag itself."""
     names, columns = _mc_columns(summary)
-    if summary.oracle_pa is not None:
-        names += ["oracle_limit", "oracle_pa"]
-        columns += [summary.oracle_limit, summary.oracle_pa]
+    for name in ("oracle_limit", "oracle_pa"):
+        if getattr(summary, name) is not None:
+            names.append(name)
+            columns.append(getattr(summary, name))
     if by_distance:
         return _table(["distance", *names], [np.char.mod("%g", summary.distances), *columns])
     # a label such as (1,0) holds commas, so its cell is quoted

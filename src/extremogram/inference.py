@@ -34,6 +34,7 @@ from .errors import (
     TooFewPermutations,
 )
 from .fields import (
+    EseResult,
     ExtremeSet,
     Lag,
     LatticeField,
@@ -47,7 +48,6 @@ from .fields import (
 from .kernel import KernelPlan, KernelSpec, kernel_ese, kernel_ese_by_distance
 from .lattice import LatticePlan, lattice_ese, lattice_ese_by_distance
 from .oracles import BrLaw, IidLaw, MmaLaw
-from .results import EseResult
 from .simulate import (
     BrPlan,
     BrSimConfig,
@@ -372,10 +372,10 @@ class McSummary:
     :mod:`extremogram.oracles`) when it has one and both sets are the
     exceedance ray (1, inf); otherwise None.  ``oracle_pa`` alone is
     None where the law has no finite-m value at ``mean_m`` (MMA and
-    Brown-Resnick at m <= 1).  ``mean_m``
-    is the average tail index across usable replicates (constant for
-    quantile rules).  ``failed_by_reason`` counts the failed replicates
-    by exception class name.
+    Brown-Resnick at m <= 1).  ``mean_m`` is the average tail index
+    across usable replicates (constant for quantile rules; NaN when no
+    replicate was usable).  ``failed_by_reason`` counts the failed
+    replicates by exception class name.
     """
 
     lags: tuple[Lag, ...]
@@ -405,8 +405,7 @@ def _attach_oracles(model, lags, set_a, set_b, mean_m):
         return None, None
     limit = np.array([law.oracle_limit(lag) for lag in lags])
     try:
-        pa = (np.array([law.oracle_pa(lag, mean_m) for lag in lags])
-              if math.isfinite(mean_m) else None)
+        pa = np.array([law.oracle_pa(lag, mean_m) for lag in lags])
     except DomainError:  # the finite-m value is undefined at m <= 1
         pa = None
     return limit, pa

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, EmptyField
-from .fields import ExtremeSet, Lag, PointField, ThresholdRule, as_lag, resolve_threshold
-from .results import EseResult
+from .fields import (EseResult, ExtremeSet, Lag, PointField, ThresholdRule, as_lag,
+                     resolve_threshold)
 
 __all__ = [
     "KernelSpec",

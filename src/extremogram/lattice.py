@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, LagOutOfRange
 from .fields import (
+    EseResult,
     ExtremeSet,
     Lag,
     LatticeField,
@@ -31,7 +32,6 @@ from .fields import (
     lag_grid,
     resolve_threshold,
 )
-from .results import EseResult
 
 __all__ = ["LatticePlan", "lattice_ese", "lattice_ese_by_distance"]
 

@@ -418,4 +418,5 @@ class BrLaw:
         return br_extremogram(lag.norm * self.spacing, self.vario)
 
     def oracle_pa(self, lag: Lag, m: float) -> float:
-        return br_pa_extremogram(lag.norm * self.spacing, self.vario, m=m).rho_pa
+        d = lag.norm * self.spacing
+        return br_pa_tau(d, self.vario, m=m) / br_pa_exceedance(1.0, m)

@@ -273,6 +273,36 @@ def test_mc_stdout_table(capsys):
     assert len(lines) == 4  # distances 1, sqrt2, 2
 
 
+def test_mc_stdout_keeps_the_limit_when_the_finite_m_value_is_undefined(tmp_path, capsys):
+    # an absolute rule this low gives mean_m = 1, where MMA has no finite-m value
+    flags = ["mc", "--model", "mma1", "--dims", "12,12", "--reps", "3", "--seed", "0",
+             "--threshold", "abs=1e-9", "--lags", "2"]
+    code, out, _ = run(capsys, *flags)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert "oracle_pa" not in rows[0]
+    assert [float(row["oracle_limit"]) for row in rows] == [0.4, 0.4, 0.2]
+    path = str(tmp_path / "mc.csv")
+    run(capsys, *flags, "--out", path)
+    with open(path) as fh:
+        written = list(csv.DictReader(fh))
+    assert [row["oracle_limit"] for row in written] == [row["oracle_limit"] for row in rows]
+    assert all(row["oracle_pa"] == "" for row in written)
+
+
+def test_mc_sidecar_without_usable_replicates_is_strict_json(tmp_path, capsys):
+    def refuse(token):
+        pytest.fail(f"sidecar holds the non-JSON token {token}")
+
+    out = str(tmp_path / "x.csv")
+    code, _, _ = run(capsys, "mc", "--model", "frechet", "--dims", "6,6", "--reps", "2",
+                     "--seed", "0", "--threshold", "abs=1e9", "--lags", "1", "--out", out)
+    assert code == 0
+    with open(tmp_path / "x.json") as fh:
+        meta = json.load(fh, parse_constant=refuse)
+    assert meta["n_used"] == 0 and meta["mean_m"] is None
+
+
 def test_mc_stdout_keys_vector_lags_by_lag(capsys):
     # (1,0) and (0,1) share distance 1; their rows must still be told apart
     for dims, lags, labels in [("12,12", "1,0;0,1;", ["(1,0)", "(0,1)"]),

@@ -30,6 +30,15 @@ def test_lattice_field_shape_and_freeze():
         f.values[0] = 5.0  # read-only buffer
 
 
+def test_field_arrays_are_read_only_whatever_the_input_layout():
+    # a column-major grid flattens by copy, which must not come out writable
+    grid = np.arange(12, dtype=float).reshape(4, 3).T
+    f = LatticeField((3, 4), grid)
+    assert f.values.tolist() == grid.ravel().tolist()
+    p = PointField(np.asfortranarray([[0.5, 0.5], [1.5, 2.5]]), [1.0, 2.0], (0, 3, 0, 3))
+    assert not any(arr.flags.writeable for arr in (f.values, p.locations, p.values))
+
+
 def test_lattice_field_rejects_bad_input():
     with pytest.raises(ValueError):
         LatticeField((2, 2), [1.0, 2.0, 3.0])  # wrong length

@@ -49,7 +49,7 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
-from extremogram import simulate
+from extremogram import oracles, simulate
 from extremogram.inference import _CHUNK_BYTES, estimator_plan
 from extremogram.kernel import KernelPlan
 from extremogram.lattice import LatticePlan
@@ -440,6 +440,16 @@ def test_mma_model_sorts_its_shells_once_per_study(monkeypatch):
     s = mc_study(model, RAY, RAY, Q90, LAT, [Lag.of(1, 0)], n_reps=4, seed=0)
     assert s.n_used == 4 and s.oracle_limit is not None and s.oracle_pa is not None
     assert calls == [True]
+
+
+def test_br_study_evaluates_each_limit_once(monkeypatch):
+    # the finite-m value needs only tau_m and p_m, not the limit again
+    calls = _calls_under(monkeypatch, oracles, "br_extremogram", mc_study)
+    model = BrLatticeModel((6, 6), VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200))
+    s = mc_study(model, RAY, RAY, Q90, EstimatorConfig(mode="lattice", by_distance=True),
+                 2.0, n_reps=2, seed=0)
+    assert s.oracle_limit is not None and s.oracle_pa is not None
+    assert calls == [True] * len(s.lags)
 
 
 @pytest.mark.parametrize("lag", [Lag.of(1), Lag.of(1, 0, 0), Lag.of(0.5, 0)])

@@ -207,9 +207,11 @@ def test_ese_csv_contract(tmp_path):
     assert first[6] == "" and first[7] == ""  # no band attached
 
     table, meta = read_ese(p)
+    assert table.dtype.names == ESE_COLUMNS
     assert np.array_equal(table.lag_x, [1.0, 0.0])
     assert np.array_equal(table.rho_hat, res.rho_hat)
     assert np.all(np.isnan(table.band_lo))
+    table.band_lo[0] = 0.0  # the caller's own copy
     assert meta["mode"] == "lattice" and meta["m"] == res.m
     assert meta["set_a"] == "(1,inf)"
     assert meta["reference_rate"] == 1.0 / res.m
@@ -263,6 +265,14 @@ def test_ese_malformed_tokens_are_named_by_their_line(tmp_path, column, token):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="ese.csv: line 3: bad index or value"):
         read_ese(p)
+
+
+def test_a_sidecar_that_is_not_strict_json_is_refused_before_writing(tmp_path):
+    f = sim_frechet_iid((10, 10), seed=5)
+    p = tmp_path / "ese.csv"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_ese(p, lattice_ese(f, RAY, RAY, Q90, [Lag.of(1, 0)]), extra_meta={"x": math.nan})
+    assert os.listdir(tmp_path) == []
 
 
 def test_ese_sidecar_that_is_not_json_is_a_data_error(tmp_path):

@@ -13,6 +13,7 @@ from extremogram import (
     DegenerateDenominator,
     DegenerateThreshold,
     EmptyField,
+    EseResult,
     ExtremeSet,
     FieldSource,
     KernelSpec,
@@ -28,7 +29,6 @@ from extremogram import (
     sim_point_field,
 )
 from extremogram.kernel import KernelPlan
-from extremogram.results import EseResult
 
 RAY = ExtremeSet.ray(1.0)
 
