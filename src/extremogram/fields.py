@@ -78,10 +78,14 @@ def grid_sides(dims) -> tuple[int, ...]:
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
-    # C order, so that a reshape(-1) of the copy is a view and stays read-only
+    """Read-only view of a private C-order copy of ``values``.
+
+    A view of a read-only array can not be made writable again, as the
+    array that owns the data could.  C order keeps a reshape(-1) a view.
+    """
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .fields import (
     LatticeField,
     PointField,
     ThresholdRule,
+    _frozen,
     as_lag,
     derive_rng,
     derive_seed,
@@ -316,9 +317,7 @@ class BrLatticeModel:
 
     @cached_property
     def sites(self) -> np.ndarray:
-        sites = centered_grid_sites(self.dims, self.spacing)
-        sites.setflags(write=False)
-        return sites
+        return _frozen(centered_grid_sites(self.dims, self.spacing))
 
     @cached_property
     def plan(self) -> BrPlan:

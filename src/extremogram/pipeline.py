@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonDivisibleBlock, WindowOutOfRange
-from .fields import LatticeField
+from .fields import LatticeField, _frozen
 
 __all__ = ["SpaceTimeGrid", "spatial_block_max", "temporal_max"]
 
@@ -31,7 +31,7 @@ class SpaceTimeGrid:
     time_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _frozen(self.values)
         if arr.ndim != 3:
             raise ValueError(f"values must be (n_times, nx, ny), got shape {arr.shape}")
         if arr.size == 0:
@@ -40,8 +40,6 @@ class SpaceTimeGrid:
             raise ValueError("values must be finite")
         if np.any(arr < 0):
             raise ValueError("values must be nonnegative")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if self.time_labels is not None:
             labels = tuple(str(t) for t in self.time_labels)

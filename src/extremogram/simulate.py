@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationFailure
-from .fields import LatticeField, PointField, derive_rng, grid_sides
+from .fields import LatticeField, PointField, _frozen, derive_rng, grid_sides
 
 __all__ = [
     "WeightSpec",
@@ -61,6 +61,7 @@ _PHI_CLIP = 1.0 - 1e-16  # keep Phi(z) away from 1 before taking logs
 _TIE_MARGIN = 1e-10
 _JITTER = 1e-10  # added to a covariance diagonal before it is factored
 _TAIL_TOL = 1e-12  # geometric weights: tail mass left beyond the truncation
+_BLOCK_BYTES = 1 << 19  # largest block of rows that _pairwise fills at once
 
 # shell-count bounds #{s in Z^d : j <= |s| < j+1} <= c_d * (j+1)^(d-1),
 # used by the geometric truncation rule below
@@ -382,32 +383,58 @@ def sim_mma(dims, weights: WeightSpec, seed: int, *, plan: MmaPlan | None = None
     return LatticeField(dims, out.ravel())
 
 
-def _pair_distances(sites: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every pair of sites, shape (n, n)."""
-    from scipy.spatial.distance import cdist
+def _pairwise(sites: np.ndarray, fill) -> np.ndarray:
+    """Lower triangle of ``fill`` mapped over the distances between sites.
 
-    return cdist(sites, sites)
+    Returns an (n, n) array filled on and below the diagonal, the part
+    that :func:`_psd_factor` reads; above it only the blocks that
+    straddle the diagonal are filled, and the rest is 0.  The rows are
+    filled one block at a time, so that no second (n, n) array is alive
+    while it runs.  The block ``out[rows, cols]``, with ``cols`` running
+    up to the block's last row, first holds the Euclidean distances
+    between those sites, summed as (s_ik - s_jk)^2 over the coordinates
+    in order and square-rooted, as ``scipy``'s ``cdist`` does, bit for
+    bit, and then ``fill(block, rows, cols)``, the entries that those
+    distances map to.
+    """
+    n = len(sites)
+    out = np.zeros((n, n))
+    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    for start in range(0, n, step):
+        rows, cols = slice(start, start + step), slice(0, start + step)
+        block = out[rows, cols]
+        for col in sites.T:
+            diff = col[rows, None] - col[None, cols]
+            diff *= diff
+            block += diff
+        np.sqrt(block, out=block)
+        block[...] = fill(block, rows, cols)
+    return out
 
 
 def _increment_cov(sites: np.ndarray, vario: VariogramSpec):
-    """Covariance of origin-pinned increments, plus delta(site) and origin mask."""
+    """Lower triangle of the covariance of origin-pinned increments (see
+    :func:`_pairwise`), plus delta(site) and the origin mask."""
     norms = np.linalg.norm(sites, axis=1)
     d_site = vario.delta(norms)
-    cov = d_site[:, None] + d_site[None, :] - vario.delta(_pair_distances(sites))
-    return cov, np.asarray(d_site, dtype=float).reshape(-1), norms == 0.0
+    cov = _pairwise(
+        sites, lambda dist, rows, cols: d_site[rows, None] + d_site[None, cols] - vario.delta(dist)
+    )
+    return cov, d_site, norms == 0.0
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Dense factor F with F F^T ~= cov + jitter*I; Cholesky, then eigen fallback.
 
-    Adds the jitter to ``cov``'s diagonal in place.
+    Reads only the lower triangle of the symmetric ``cov``, and adds the
+    jitter to its diagonal in place.
     """
     cov[np.diag_indices_from(cov)] += _JITTER
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         pass
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov, UPLO="L")
     tol = 1e-8 * max(1.0, float(np.abs(cov.diagonal()).max()))
     if eigvals.min() < -tol:
         raise FactorizationFailure(
@@ -430,10 +457,9 @@ class BrPlan:
     """
 
     def __init__(self, sites, vario: VariogramSpec, config: BrSimConfig):
-        self.sites = np.array(sites, dtype=float)
+        self.sites = _frozen(sites)
         if self.sites.ndim != 2:
             raise ValueError("sites must be an (N, d) array")
-        self.sites.setflags(write=False)
         self.vario = vario
         self.config = config
         self.d_site = self.at_origin = None
@@ -441,7 +467,9 @@ class BrPlan:
             cov, self.d_site, self.at_origin = _increment_cov(self.sites, vario)
         else:
             d_n = (1.0 / math.log(config.n_gaussians)) ** (1.0 / vario.alpha)
-            cov = 1.0 / (1.0 + vario.delta(d_n * _pair_distances(self.sites)))
+            cov = _pairwise(
+                self.sites, lambda dist, rows, cols: 1.0 / (1.0 + vario.delta(d_n * dist))
+            )
         self.factor = _psd_factor(cov)
 
 

@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremogram import (
+    BrLatticeModel,
+    BrPlan,
+    BrSimConfig,
     DegenerateThreshold,
     EmptyInput,
+    EseResult,
     ExtremeSet,
     Lag,
     LatticeField,
     PointField,
+    SpaceTimeGrid,
     ThresholdRule,
+    VariogramSpec,
     as_lag,
     derive_rng,
     derive_seed,
@@ -37,6 +43,32 @@ def test_field_arrays_are_read_only_whatever_the_input_layout():
     assert f.values.tolist() == grid.ravel().tolist()
     p = PointField(np.asfortranarray([[0.5, 0.5], [1.5, 2.5]]), [1.0, 2.0], (0, 3, 0, 3))
     assert not any(arr.flags.writeable for arr in (f.values, p.locations, p.values))
+
+
+def test_frozen_arrays_can_not_be_made_writable_again():
+    lattice = LatticeField((3, 4), np.arange(12, dtype=float))
+    points = PointField([[0.5, 0.5], [1.5, 2.5]], [1.0, 2.0], (0, 3, 0, 3))
+    ese = EseResult((Lag.of(1, 0),), [1.0], [0.5], [4], [1], 2.0, 10.0,
+                    ExtremeSet.ray(), ExtremeSet.ray(), 0.1, "lattice")
+    vario, config = VariogramSpec(0.5, 1.0), BrSimConfig.spectral(200)
+    arrays = {
+        "LatticeField.values": lattice.values,
+        "PointField.locations": points.locations,
+        "PointField.values": points.values,
+        **{f"EseResult.{name}": getattr(ese, name)
+           for name in ("distances", "rho_hat", "pair_count", "exceed_count")},
+        "BrPlan.sites": BrPlan([[0.0, 0.0], [1.0, 0.0]], vario, config).sites,
+        "BrLatticeModel.sites": BrLatticeModel((2, 2), vario, config).sites,
+        "SpaceTimeGrid.values": SpaceTimeGrid(np.ones((2, 2, 2))).values,
+    }
+    thawed = []
+    for name, arr in arrays.items():
+        try:
+            arr.setflags(write=True)
+        except ValueError:
+            continue
+        thawed.append(name)
+    assert thawed == []
 
 
 def test_lattice_field_rejects_bad_input():

@@ -1,6 +1,7 @@
 """Simulator laws: margins, determinism, weight handling."""
 import hashlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,13 +33,15 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
+from extremogram import simulate
 from extremogram.fields import derive_rng
 from extremogram.inference import centered_grid_sites
 from extremogram.simulate import (
+    _BLOCK_BYTES,
     _PHI_CLIP,
     _TIE_MARGIN,
     _frechet,
-    _pair_distances,
+    _pairwise,
     _psd_factor,
     _sim_br_gaussian_max,
 )
@@ -322,11 +325,21 @@ class _FixedNormals:
         return self.rows.copy()
 
 
+def _broadcast_norm(sites):
+    """Distances between every pair of sites, with no blocks."""
+    return np.linalg.norm(sites[:, None] - sites[None], axis=2)
+
+
+def _distances(sites):
+    """The distances that _pairwise maps, on and below the diagonal."""
+    return np.tril(_pairwise(sites, lambda dist, rows, cols: dist))
+
+
 def _gaussian_max_reference(sites, vario, config, rng):
     """Transform every Gaussian to Frechet, then take each site's max."""
     n_rep = config.n_gaussians
     d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
-    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _pair_distances(sites))))
+    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _broadcast_norm(sites))))
     gauss = factor @ rng.standard_normal((len(sites), n_rep))
     with np.errstate(divide="ignore"):
         frechet = -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
@@ -385,13 +398,52 @@ def test_ndtr_is_monotone_across_the_tie_margin():
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
-@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=30), st.data())
+@given(st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[_coord] * d), min_size=1, max_size=30)), st.data())
 @settings(max_examples=100, deadline=None)
 def test_pair_distances_equal_the_broadcast_norm_property(points, data):
     repeat = data.draw(st.sampled_from(points))
-    sites = np.array(points + [repeat, (0.0, 0.0)])
-    reference = np.linalg.norm(sites[:, None] - sites[None], axis=2)
-    assert np.array_equal(_pair_distances(sites), reference)
+    sites = np.array(points + [repeat, (0.0,) * len(repeat)])
+    # blocks of any height, down to one row, so that small n crosses them
+    rows = data.draw(st.integers(1, len(sites)))
+    with patch.object(simulate, "_BLOCK_BYTES", 8 * len(sites) * rows):
+        assert np.array_equal(_distances(sites), np.tril(_broadcast_norm(sites)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_distances_cross_the_block_boundaries(d):
+    n = 400
+    step = _BLOCK_BYTES // (8 * n)
+    assert 2 * step < n and n % step  # past two boundaries, the last block short
+    sites = np.random.default_rng(d).uniform(-5.0, 5.0, (n, d))
+    assert np.array_equal(_distances(sites), np.tril(_broadcast_norm(sites)))
+
+
+def test_pair_distances_without_coordinates_are_zero():
+    assert np.array_equal(_pairwise(np.empty((5, 0)), lambda dist, rows, cols: dist),
+                          np.zeros((5, 5)))
+
+
+_FACTOR_SITES = [
+    np.random.default_rng(0).uniform(0.0, 8.0, (400, 2)),  # crosses block boundaries
+    centered_grid_sites((7, 6), 0.3),
+    # far from the origin, alpha = 2's rank-2 spectral covariance fails
+    # Cholesky and is factored by eigh
+    np.random.default_rng(1).uniform(0.0, 1000.0, (400, 2)),
+]
+
+
+@pytest.mark.parametrize("sites", _FACTOR_SITES)
+@pytest.mark.parametrize("vario", [VariogramSpec(0.5, 2.0), VariogramSpec(1.3, 0.8)])
+def test_plan_factors_equal_the_full_matrix_formulas(sites, vario):
+    dist = _broadcast_norm(sites)
+    d_site = vario.delta(np.linalg.norm(sites, axis=1))
+    spectral = _psd_factor(d_site[:, None] + d_site[None, :] - vario.delta(dist))
+    assert np.array_equal(BrPlan(sites, vario, BrSimConfig.spectral(200)).factor, spectral)
+    d_n = (1.0 / math.log(300)) ** (1.0 / vario.alpha)
+    gaussian_max = _psd_factor(1.0 / (1.0 + vario.delta(d_n * dist)))
+    assert np.array_equal(BrPlan(sites, vario, BrSimConfig.gaussian_max(300)).factor,
+                          gaussian_max)
 
 
 def test_brown_resnick_spectral_margins_near_origin():

@@ -1,8 +1,9 @@
 """The numpy-only commands never load scipy in a fresh interpreter.
 
 scipy is imported where it is called: by the kernel estimator, the
-Brown-Resnick simulators and the Brown-Resnick oracles.  pytest has
-imported scipy already, so the probe runs in its own process.
+gaussian-max Brown-Resnick simulator and the Brown-Resnick oracles.  A
+spectral Brown-Resnick draw needs numpy alone.  pytest has imported
+scipy already, so the probe runs in its own process.
 """
 import json
 import os
@@ -50,8 +51,11 @@ for argv in (
 ):
     run(argv)
 numpy_only = scipy_modules()
+run(["simulate", "--model", "brown-resnick", "--dims", "8,8", "--seed", "1", "--out", "br.csv"])
+spectral = scipy_modules()
 run(["oracle", "--model", "brown-resnick", "--lags", "0,1", "--m", "10"])
-print(json.dumps({"numpy_only": numpy_only, "brown_resnick": scipy_modules()}))
+print(json.dumps({"numpy_only": numpy_only, "spectral": spectral,
+                  "brown_resnick": scipy_modules()}))
 """
 
 
@@ -63,5 +67,7 @@ def test_numpy_only_commands_do_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["numpy_only"] == []
-    # the probe sees a first-use import, so an empty list above is not vacuous
+    assert loaded["spectral"] == []
+    # the probe sees a first-use import, so the empty lists above are not vacuous
     assert "scipy.special" in loaded["brown_resnick"]
+    assert not [m for m in loaded["brown_resnick"] if m.startswith("scipy.spatial")]
