@@ -80,10 +80,17 @@ def grid_sides(dims) -> tuple[int, ...]:
 def _frozen(values, dtype=float) -> np.ndarray:
     """Read-only view of a private C-order copy of ``values``.
 
-    A view of a read-only array can not be made writable again, as the
-    array that owns the data could.  C order keeps a reshape(-1) a view.
+    C order keeps a reshape(-1) a view.
     """
-    arr = np.array(values, dtype=dtype, order="C")
+    return _sealed(np.array(values, dtype=dtype, order="C"))
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Read-only view of ``arr``, which the caller hands over uncopied.
+
+    A view of a read-only array can not be made writable again, as the
+    array that owns the data could.
+    """
     arr.setflags(write=False)
     return arr.view()
 

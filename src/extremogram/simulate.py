@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationFailure
-from .fields import LatticeField, PointField, _frozen, derive_rng, grid_sides
+from .fields import LatticeField, PointField, _frozen, _sealed, derive_rng, grid_sides
 
 __all__ = [
     "WeightSpec",
@@ -313,14 +313,15 @@ class MmaPlan:
     Holds the truncated ``support`` of ``weights`` as ``(offsets, wts)``,
     the noise pad per axis, and, sorted on first use, the support grouped
     into equal-weight ``shells``, heaviest first, each a ``(weight,
-    offsets)`` pair.  It depends on (weights, d) only, so one plan serves
-    every grid and seed of that dimension, and the law of the weights.
+    offsets)`` pair.  Its arrays are read-only.  It depends on (weights,
+    d) only, so one plan serves every grid and seed of that dimension,
+    and the law of the weights.
     """
 
     def __init__(self, weights: WeightSpec, d: int):
         self.weights = weights
         self.d = d
-        self.support = weights.support(d)
+        self.support = tuple(map(_sealed, weights.support(d)))
         self.pad = tuple(int(np.abs(self.support[0][:, i]).max()) for i in range(d))
 
     @cached_property
@@ -329,7 +330,7 @@ class MmaPlan:
         order = np.argsort(-wts, kind="stable")
         wts = wts[order]
         starts = np.flatnonzero(np.diff(wts)) + 1
-        return tuple(zip(wts[np.r_[0, starts]], np.split(offsets[order], starts)))
+        return tuple(zip(wts[np.r_[0, starts]], np.split(_sealed(offsets[order]), starts)))
 
 
 def sim_mma(dims, weights: WeightSpec, seed: int, *, plan: MmaPlan | None = None) -> LatticeField:
@@ -414,13 +415,13 @@ def _pairwise(sites: np.ndarray, fill) -> np.ndarray:
 
 def _increment_cov(sites: np.ndarray, vario: VariogramSpec):
     """Lower triangle of the covariance of origin-pinned increments (see
-    :func:`_pairwise`), plus delta(site) and the origin mask."""
+    :func:`_pairwise`), plus delta(site) and the origin mask, read-only."""
     norms = np.linalg.norm(sites, axis=1)
     d_site = vario.delta(norms)
     cov = _pairwise(
         sites, lambda dist, rows, cols: d_site[rows, None] + d_site[None, cols] - vario.delta(dist)
     )
-    return cov, d_site, norms == 0.0
+    return cov, _sealed(d_site), _sealed(norms == 0.0)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -451,9 +452,9 @@ class BrPlan:
     ``config``'s method draws from.  For spectral that is the
     origin-pinned increment covariance, and the plan also holds delta
     at each site and the origin mask; for gaussian_max it is the
-    correlation ``1 / (1 + delta(d_N*|h|))``.  Building a plan factors
-    the covariance, so it raises FactorizationFailure where a draw
-    would.
+    correlation ``1 / (1 + delta(d_N*|h|))``.  Every array it holds is
+    read-only.  Building a plan factors the covariance, so it raises
+    FactorizationFailure where a draw would.
     """
 
     def __init__(self, sites, vario: VariogramSpec, config: BrSimConfig):
@@ -470,7 +471,7 @@ class BrPlan:
             cov = _pairwise(
                 self.sites, lambda dist, rows, cols: 1.0 / (1.0 + vario.delta(d_n * dist))
             )
-        self.factor = _psd_factor(cov)
+        self.factor = _sealed(_psd_factor(cov))
 
 
 def _draw_increments(plan: BrPlan, rng: np.random.Generator, n_draws: int) -> np.ndarray:

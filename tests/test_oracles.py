@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from extremogram import (
     DomainError,
@@ -30,8 +31,9 @@ from extremogram import (
     mma_geometric_extremogram_classsum,
     mma_pa_extremogram,
 )
+from extremogram import oracles
 from extremogram.fields import ExtremeSet
-from extremogram.oracles import MmaLaw, br_pa_exceedance
+from extremogram.oracles import MmaLaw, _ndtr, br_pa_exceedance
 
 M_3PCT = 100.0 / 3.0  # tail index for a 3% exceedance rate
 
@@ -310,3 +312,58 @@ def test_mma_law_computes_each_limit_once(monkeypatch):
     assert law.oracle_limit(Lag.of(1.0, 0.0)) == first
     assert law.oracle_pa(lag, 10.0) == mma_pa_extremogram(WeightSpec.geometric(0.5), lag, 10.0).rho_pa
     assert calls == [lag]
+
+
+def _ulps_around(x: float, k: int = 4) -> list[float]:
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(k):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(22)
+    args = [*rng.normal(0.0, 1.0, 100_000), *rng.uniform(-45.0, 45.0, 100_000),
+            0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300]
+    edges = [
+        1.0, -1.0,  # erf for |x| < 1, erfc past it
+        math.sqrt(2.0), -math.sqrt(2.0),  # erfc's own switch to erf below 1
+        8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0),  # P/Q below, R/S above
+        -math.sqrt(2.0 * oracles._MAXLOG),  # exp(-x^2/2) underflow exit
+        -38.0, -38.5, -40.0,  # past it: 0
+    ]
+    for edge in edges:
+        args += _ulps_around(edge)
+    args = np.array(args)
+    ours = np.array([_ndtr(float(x)) for x in args])
+    theirs = ndtr(args)
+    mismatched = args[ours != theirs]
+    assert mismatched.size == 0, mismatched[:5]
+    assert math.isnan(_ndtr(math.nan))
+    # the underflow exit is live: exp(-19 * 38) is a subnormal > 0, yet Phi(-38) is 0
+    edge = -math.sqrt(2.0 * oracles._MAXLOG)
+    assert _ndtr(math.nextafter(edge, 0.0)) > 0.0 and _ndtr(-38.0) == 0.0
+
+
+def test_br_oracles_equal_their_scipy_ndtr_values(monkeypatch):
+    grid = [(delta, c_a, c_b, m)
+            for delta in (0.0, 1e-12, 0.03, 0.5, 1.0, 4.0, 60.0, 3000.0)
+            for c_a in (0.5, 1.0, 3.0)
+            for c_b in (0.25, 1.0, 7.0)
+            for m in (1.5, 10.0, M_3PCT, 1e6)]
+
+    def values():
+        out = []
+        for delta, c_a, c_b, m in grid:
+            vario = VariogramSpec(theta=delta, alpha=1.0) if delta else VariogramSpec(1.0, 1.0)
+            h = 1.0 if delta else 0.0
+            out += [br_extremogram(h, vario, c_a, c_b), br_pa_tau(h, vario, c_a, c_b, m),
+                    husler_reiss_cdf(c_a * m, c_b * m, delta)]
+        return out
+
+    ours = values()
+    monkeypatch.setattr(oracles, "_ndtr", lambda x: float(ndtr(x)))
+    assert values() == ours

@@ -446,6 +446,47 @@ def test_plan_factors_equal_the_full_matrix_formulas(sites, vario):
                           gaussian_max)
 
 
+def test_plan_arrays_refuse_writes_and_draws_are_unchanged():
+    vario = VariogramSpec(0.5, 1.0)
+    sites = centered_grid_sites((4, 4), 1.0)
+    spectral = BrPlan(sites, vario, BrSimConfig.spectral(200))
+    gaussian_max = BrPlan(sites, vario, BrSimConfig.gaussian_max(50))
+    weights = WeightSpec.geometric(0.5)
+    mma = MmaPlan(weights, 2)
+
+    def draws():
+        return [sim_brown_resnick(sites, vario, spectral.config, seed=3, plan=spectral).values,
+                sim_brown_resnick(sites, vario, gaussian_max.config, seed=3,
+                                  plan=gaussian_max).values,
+                sim_mma((6, 6), weights, seed=3, plan=mma).values]
+
+    before = draws()
+    arrays = {
+        "BrPlan.factor (spectral)": spectral.factor,
+        "BrPlan.factor (gaussian_max)": gaussian_max.factor,
+        "BrPlan.d_site": spectral.d_site,
+        "BrPlan.at_origin": spectral.at_origin,
+        "MmaPlan.support offsets": mma.support[0],
+        "MmaPlan.support weights": mma.support[1],
+        **{f"MmaPlan.shells[{i}]": offsets for i, (_, offsets) in enumerate(mma.shells)},
+    }
+    written = []
+    for name, arr in arrays.items():
+        for attempt in (lambda: arr.__setitem__(0, arr[0]), lambda: arr.setflags(write=True)):
+            try:
+                attempt()
+            except ValueError:
+                continue
+            written.append(name)
+    assert written == []
+    after = draws()
+    fresh = [sim_brown_resnick(sites, vario, spectral.config, seed=3).values,
+             sim_brown_resnick(sites, vario, gaussian_max.config, seed=3).values,
+             sim_mma((6, 6), weights, seed=3).values]
+    for b, a, f in zip(before, after, fresh):
+        assert np.array_equal(a, b) and np.array_equal(f, b)
+
+
 def test_brown_resnick_spectral_margins_near_origin():
     sites = centered_grid_sites((5, 5), 1.0)
     vario = VariogramSpec(theta=0.5, alpha=1.0)
