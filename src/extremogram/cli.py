@@ -7,6 +7,9 @@ failing exit writes one machine-readable line
 
 Reproducibility rule: every command that draws randomness (simulate,
 mc, rate-check, bands) requires an explicit --seed.
+
+Flag values are separated numbers (``_values``) or ``<tag><number>``
+(``_tagged``); a malformed one exits 1 with a UsageError naming the flag.
 """
 from __future__ import annotations
 
@@ -90,47 +93,52 @@ class _Parser(argparse.ArgumentParser):
 # flag value parsers
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _values(text: str, flag: str, kind=float, sep: str = ",") -> tuple:
+    """The ``sep``-separated parts of ``text``, each read by ``kind``."""
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(kind(p) for p in text.split(sep))
     except ValueError:
-        raise UsageError(f"--dims must be comma-separated integers, got {text!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} must be {noun} separated by {sep!r}, got {text!r}")
+
+
+def _tagged(text: str, flag: str, builders: dict):
+    """Read ``<tag><number>`` and build the value with that tag's builder."""
+    for tag, build in builders.items():
+        if text.startswith(tag):
+            try:
+                return build(float(text[len(tag):]))
+            except ValueError as exc:
+                raise UsageError(f"bad {flag} {text!r}: {exc}")
+    forms = " or ".join(f"{tag}<number>" for tag in builders)
+    raise UsageError(f"{flag} must be {forms}, got {text!r}")
+
+
+def _parse_dims(text: str) -> tuple[int, ...]:
+    dims = _values(text, "--dims", int)
     if not 1 <= len(dims) <= 3 or any(n < 1 for n in dims):
         raise UsageError(f"--dims must be 1 to 3 positive sides, got {text!r}")
     return dims
 
 
 def _parse_sets(args) -> tuple[ExtremeSet, ExtremeSet]:
-    set_a = _parse_set(args.set_a)
-    return set_a, (_parse_set(args.set_b) if args.set_b else set_a)
+    set_a = _parse_set(args.set_a, "--set-a")
+    return set_a, (_parse_set(args.set_b, "--set-b") if args.set_b else set_a)
 
 
-def _parse_set(text: str) -> ExtremeSet:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"set must be 'lower,upper' with inf allowed, got {text!r}")
-    try:
-        lower, upper = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"set bounds must be numbers or inf, got {text!r}")
-    return ExtremeSet(lower, upper)
+def _parse_set(text: str, flag: str) -> ExtremeSet:
+    bounds = _values(text, flag)
+    if len(bounds) != 2:
+        raise UsageError(f"{flag} must be 'lower,upper' with inf allowed, got {text!r}")
+    return ExtremeSet(*bounds)
 
 
 def _parse_threshold(text: str) -> ThresholdRule:
-    if text.startswith("q="):
-        try:
-            return ThresholdRule.quantile(float(text[2:]))
-        except ValueError as exc:
-            raise UsageError(f"bad quantile threshold {text!r}: {exc}")
-    if text.startswith("abs="):
-        try:
-            return ThresholdRule.absolute(float(text[4:]))
-        except ValueError as exc:
-            raise UsageError(f"bad absolute threshold {text!r}: {exc}")
-    raise UsageError(f"--threshold must be q=<quantile> or abs=<level>, got {text!r}")
+    return _tagged(text, "--threshold",
+                   {"q=": ThresholdRule.quantile, "abs=": ThresholdRule.absolute})
 
 
-def _parse_lag_spec(text: str):
+def _parse_lag_spec(text: str, flag: str):
     """Lag grammar: 'x,y;x,y;...' explicit vectors, else a scalar.
 
     The scalar reading depends on the estimator: max distance for lag
@@ -139,29 +147,15 @@ def _parse_lag_spec(text: str):
     a single vector therefore needs a trailing ';' ("1,0;").
     Returns one of ("vectors", [...]), ("scalar", x), ("list", [...]).
     """
-    if ";" in text:
-        vectors = []
-        parts = [p for p in text.split(";") if p.strip()]
-        if not parts:
-            raise UsageError(f"no lag vectors in {text!r}")
-        for part in parts:
-            comps = part.split(",")
-            if len(comps) < 1 or len(comps) > 3:
-                raise UsageError(f"lag vector must have 1..3 components, got {part!r}")
-            try:
-                vectors.append(tuple(float(c) for c in comps))
-            except ValueError:
-                raise UsageError(f"bad lag vector {part!r}")
-        return ("vectors", vectors)
-    if "," in text:
-        try:
-            return ("list", [float(p) for p in text.split(",")])
-        except ValueError:
-            raise UsageError(f"bad lag list {text!r}")
-    try:
-        return ("scalar", float(text))
-    except ValueError:
-        raise UsageError(f"bad lag specification {text!r}")
+    if ";" not in text:
+        values = _values(text, flag)
+        return ("list", list(values)) if "," in text else ("scalar", values[0])
+    vectors = [_values(part, flag) for part in text.split(";") if part.strip()]
+    if not vectors:
+        raise UsageError(f"{flag} has no lag vectors in {text!r}")
+    if any(len(vector) > 3 for vector in vectors):
+        raise UsageError(f"{flag} vectors must have 1 to 3 components, got {text!r}")
+    return ("vectors", vectors)
 
 
 def _resolve_lags(spec, config: EstimatorConfig, d: int):
@@ -190,50 +184,25 @@ def _resolve_lags(spec, config: EstimatorConfig, d: int):
 
 
 def _parse_nu(text: str) -> float | None:
-    if text == "plugin":
-        return None
-    if text.startswith("known="):
-        try:
-            return float(text[6:])
-        except ValueError:
-            raise UsageError(f"bad intensity {text!r}")
-    raise UsageError(f"--nu must be 'plugin' or 'known=<value>', got {text!r}")
+    return None if text == "plugin" else _tagged(text, "--nu", {"known=": float})
 
 
 def _parse_region(text: str) -> tuple[float, float, float, float]:
-    try:
-        region = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"--region must be x0,x1,y0,y1, got {text!r}")
+    region = _values(text, "--region")
     if len(region) != 4:
-        raise UsageError(f"--region must have 4 components, got {text!r}")
+        raise UsageError(f"--region must be x0,x1,y0,y1, got {text!r}")
     return region
 
 
 def _parse_weights(text: str) -> WeightSpec:
-    if text.startswith("ball:"):
-        try:
-            return WeightSpec.indicator_ball(float(text[5:]))
-        except ValueError:
-            raise UsageError(f"bad ball radius in {text!r}")
-    if text.startswith("geom:"):
-        try:
-            return WeightSpec.geometric(float(text[5:]))
-        except ValueError:
-            raise UsageError(f"bad geometric ratio in {text!r}")
-    raise UsageError(f"--weights must be ball:<radius> or geom:<phi>, got {text!r}")
+    return _tagged(text, "--weights",
+                   {"ball:": WeightSpec.indicator_ball, "geom:": WeightSpec.geometric})
 
 
 def _parse_windows(text: str) -> list[tuple[int, int]]:
-    windows = []
-    for part in text.split(","):
-        bounds = part.split(":")
-        if len(bounds) != 2:
-            raise UsageError(f"window must be start:stop, got {part!r}")
-        try:
-            windows.append((int(bounds[0]), int(bounds[1])))
-        except ValueError:
-            raise UsageError(f"window bounds must be integers, got {part!r}")
+    windows = [_values(part, "--windows", int, ":") for part in text.split(",")]
+    if any(len(window) != 2 for window in windows):
+        raise UsageError(f"--windows must be start:stop pairs, got {text!r}")
     return windows
 
 
@@ -309,7 +278,7 @@ def _estimate_once(args):
     config = _estimator_config(args)
     set_a, set_b = _parse_sets(args)
     rule = _parse_threshold(args.threshold)
-    lag_spec = _parse_lag_spec(args.lags)
+    lag_spec = _parse_lag_spec(args.lags, "--lags")
     data = _read_input(args.input)
     _check_mode_matches(data, args.mode)
     lags = _resolve_lags(lag_spec, config, getattr(data, "d", 2))
@@ -336,10 +305,7 @@ def _cmd_bands(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        distances = [float(p) for p in args.lags.split(",")]
-    except ValueError:
-        raise UsageError(f"--lags must be comma-separated distances, got {args.lags!r}")
+    distances = _values(args.lags, "--lags")
     if not all(math.isfinite(d) and d >= 0 for d in distances):
         raise UsageError(f"--lags distances must be finite and nonnegative, got {args.lags!r}")
     if args.m is not None and not math.isfinite(args.m):
@@ -410,7 +376,7 @@ def _cmd_mc(args) -> int:
     model = _field_model(args)
     config = _estimator_config(args)
     d = 2 if args.model == "point-field" else len(_parse_dims(args.dims))  # points are planar
-    lags = _resolve_lags(_parse_lag_spec(args.lags), config, d)
+    lags = _resolve_lags(_parse_lag_spec(args.lags, "--lags"), config, d)
     set_a, set_b = _parse_sets(args)
     if args.out:
         fileio._check_planar(d)  # before the study, not after it
@@ -423,19 +389,13 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_rate_check(args) -> int:
-    try:
-        sizes = tuple(int(p) for p in args.sizes.split(","))
-    except ValueError:
-        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    ref = _parse_lag_spec(args.ref_lag)
-    if ref[0] == "vectors":
-        if len(ref[1]) != 1:
+    sizes = _values(args.sizes, "--sizes", int)
+    kind, ref = _parse_lag_spec(args.ref_lag, "--ref-lag")
+    if kind == "vectors":
+        if len(ref) != 1:
             raise UsageError(f"--ref-lag takes one lag, got {args.ref_lag!r}")
-        ref_lag = Lag.of(*ref[1][0])
-    elif ref[0] == "list":
-        ref_lag = Lag.of(*ref[1])
-    else:
-        ref_lag = Lag.of(ref[1], 0.0)
+        ref = ref[0]
+    ref_lag = Lag.of(ref, 0.0) if kind == "scalar" else Lag.of(*ref)
     set_a, set_b = _parse_sets(args)
     rate = clt_rate_check(
         lambda n: _lattice_model(args, (n, n)), set_a, set_b, _parse_threshold(args.threshold),

@@ -399,7 +399,7 @@ def read_space_time(path) -> SpaceTimeGrid:
 # study outputs
 
 
-def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
+def write_mc(path, summary: McSummary) -> None:
     """Write Monte Carlo aggregates, one row per estimator row."""
     names, columns = _mc_columns(summary)
     oracles = [np.full(len(summary.lags), "") if col is None else col
@@ -417,8 +417,6 @@ def write_mc(path, summary: McSummary, extra_meta: dict | None = None) -> None:
         "failed_by_reason": summary.failed_by_reason,
         "mean_m": None if math.isnan(summary.mean_m) else summary.mean_m,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     _write_with_sidecar(path, table, meta)
 
 
@@ -465,7 +463,7 @@ def _oracle_table(distances, rho_limit, rho_pa, m) -> str:
     return _table(names, columns)
 
 
-def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
+def write_rate(path, rate: RateCheck) -> None:
     """Write the per-size variance table; the slope goes in the sidecar."""
     meta = {
         "slope": rate.slope,
@@ -473,6 +471,4 @@ def write_rate(path, rate: RateCheck, extra_meta: dict | None = None) -> None:
         "ref_lag": list(rate.ref_lag.offset),
         "n_reps": rate.n_reps,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     _write_with_sidecar(path, _rate_table(rate), meta)

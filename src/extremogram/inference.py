@@ -314,6 +314,8 @@ class BrLatticeModel:
     def __post_init__(self):
         if len(grid_sides(self.dims)) != 2:
             raise ValueError(f"Brown-Resnick lattice needs 2 sides, got dims {self.dims}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
 
     @cached_property
     def sites(self) -> np.ndarray:

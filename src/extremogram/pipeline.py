@@ -21,14 +21,9 @@ __all__ = ["SpaceTimeGrid", "spatial_block_max", "temporal_max"]
 
 @dataclass(frozen=True, eq=False)
 class SpaceTimeGrid:
-    """Nonnegative values on a (n_times, nx, ny) cube.
-
-    ``time_labels`` optionally names the time slices (ISO dates or
-    integer epochs as strings); length must match n_times.
-    """
+    """Nonnegative values on a (n_times, nx, ny) cube."""
 
     values: np.ndarray
-    time_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = _frozen(self.values)
@@ -41,13 +36,6 @@ class SpaceTimeGrid:
         if np.any(arr < 0):
             raise ValueError("values must be nonnegative")
         object.__setattr__(self, "values", arr)
-        if self.time_labels is not None:
-            labels = tuple(str(t) for t in self.time_labels)
-            if len(labels) != arr.shape[0]:
-                raise ValueError(
-                    f"{len(labels)} time labels for {arr.shape[0]} time slices"
-                )
-            object.__setattr__(self, "time_labels", labels)
 
     @property
     def n_times(self) -> int:
@@ -72,7 +60,7 @@ def spatial_block_max(grid: SpaceTimeGrid, block: int) -> SpaceTimeGrid:
         raise NonDivisibleBlock(f"block {k} does not divide grid dims {nx}x{ny}")
     v = grid.values
     out = v.reshape(grid.n_times, nx // k, k, ny // k, k).max(axis=(2, 4))
-    return SpaceTimeGrid(out, time_labels=grid.time_labels)
+    return SpaceTimeGrid(out)
 
 
 def temporal_max(grid: SpaceTimeGrid, windows) -> list[LatticeField]:

@@ -464,6 +464,63 @@ def test_help_and_bad_command(capsys):
     assert code == 1 and "--bandwidth" in err
 
 
+@pytest.mark.parametrize("spacing", ["nan", "inf", "0", "-1"])
+def test_simulate_refuses_a_bad_br_spacing_in_one_json_line(tmp_path, capsys, spacing):
+    out = tmp_path / "x.csv"
+    code, text, err = run(capsys, "simulate", "--model", "brown-resnick", "--dims", "4,4",
+                          f"--spacing={spacing}", "--seed", "0", "--out", str(out))
+    assert code == 1 and text == "" and not out.exists()
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValueError",
+        "message": f"spacing must be finite and positive, got {float(spacing)}",
+    }
+
+
+_ESTIMATE = ["estimate", "--input", "nope.csv", "--mode", "lattice", "--threshold", "q=0.9",
+             "--lags", "1", "--out", "o.csv"]
+_RATE = ["rate-check", "--model", "mma1", "--reps", "2", "--seed", "0"]
+_SIMULATE = ["simulate", "--seed", "0", "--out", "x.csv"]
+
+
+_MALFORMED = [
+    ("--dims", "4,x", [*_SIMULATE, "--model", "frechet"]),
+    ("--dims", "0", [*_SIMULATE, "--model", "frechet"]),
+    ("--set-a", "1", _ESTIMATE),
+    ("--set-b", "a,b", _ESTIMATE),
+    ("--threshold", "q=x", _ESTIMATE),
+    ("--threshold", "p=0.9", _ESTIMATE),
+    ("--nu", "known=x", [*_ESTIMATE, "--mode", "kernel", "--bandwidth", "1"]),
+    ("--nu", "guess", [*_ESTIMATE, "--mode", "kernel", "--bandwidth", "1"]),
+    ("--region", "0,1,0", [*_SIMULATE, "--model", "point-field", "--count", "5"]),
+    ("--weights", "ball:x", [*_SIMULATE, "--model", "mma"]),
+    ("--weights", "cone:1", [*_SIMULATE, "--model", "mma"]),
+    ("--windows", "0-3", ["ingest", "--block", "1", "--out-dir", "fields"]),
+    ("--windows", "0:x", ["ingest", "--block", "1", "--out-dir", "fields"]),
+    ("--sizes", "10,x", _RATE),
+    ("--lags", "1,x", ["oracle", "--model", "mma1"]),
+    ("--lags", "1,0,0,0;", _ESTIMATE),
+]
+
+
+@pytest.mark.parametrize("flag, value, argv", _MALFORMED,
+                         ids=[f"{flag}={value}" for flag, value, _ in _MALFORMED])
+def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
+        tmp_path, monkeypatch, capsys, flag, value, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "ingest":  # the cube is read before the windows
+        write_space_time("cube.csv", SpaceTimeGrid(np.ones((6, 2, 2))))
+        argv = [*argv, "--input", "cube.csv"]
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "UsageError" and flag in payload["message"]
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "fields").exists()
+
+
 def test_lag_grammar_errors(tmp_path, capsys):
     src = str(tmp_path / "field.csv")
     run(capsys, "simulate", "--model", "frechet", "--dims", "8,8",

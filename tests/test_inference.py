@@ -461,6 +461,13 @@ def test_mma_law_refuses_a_lag_off_its_lattice(lag):
         law.oracle_pa(lag, 10.0)
 
 
+@pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -1.0])
+def test_br_model_refuses_a_spacing_that_is_not_finite_and_positive(spacing):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        BrLatticeModel((4, 4), VariogramSpec(0.5, 2.0), BrSimConfig.spectral(200),
+                       spacing=spacing)
+
+
 def test_a_br_model_that_cannot_factor_fails_every_replicate(monkeypatch):
     def indefinite(cov):
         raise FactorizationFailure("covariance is not PSD within tolerance")

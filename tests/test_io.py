@@ -320,8 +320,7 @@ def test_mc_writer_rejects_3d_lags_before_writing(tmp_path):
 
 def test_space_time_roundtrip(tmp_path):
     rng = derive_rng(9)
-    grid = SpaceTimeGrid(rng.gamma(2.0, 1.0, size=(4, 3, 5)),
-                         time_labels=("a", "b", "c", "d"))
+    grid = SpaceTimeGrid(rng.gamma(2.0, 1.0, size=(4, 3, 5)))
     obj = roundtrip_bytes(
         tmp_path,
         lambda p, o=grid: write_space_time(p, o),
@@ -329,8 +328,6 @@ def test_space_time_roundtrip(tmp_path):
     )
     assert obj.values.shape == (4, 3, 5)
     assert np.array_equal(obj.values, grid.values)
-    # the interchange format carries integer time indices only
-    assert obj.time_labels is None
 
 
 def test_space_time_header_and_errors(tmp_path):

@@ -26,10 +26,7 @@ def test_grid_validation():
         SpaceTimeGrid(np.full((2, 2, 2), np.nan))
     with pytest.raises(ValueError):
         SpaceTimeGrid(np.empty((0, 2, 2)))
-    with pytest.raises(ValueError):
-        SpaceTimeGrid(np.ones((2, 2, 2)), time_labels=("a",))
-    g = SpaceTimeGrid(np.ones((3, 2, 2)), time_labels=(2001, 2002, 2003))
-    assert g.time_labels == ("2001", "2002", "2003")
+    g = SpaceTimeGrid(np.ones((3, 2, 2)))
     assert g.n_times == 3 and g.dims == (2, 2)
     assert not g.values.flags.writeable
 
@@ -57,8 +54,6 @@ def test_block_max_divisibility():
         spatial_block_max(g, 4)
     with pytest.raises(NonDivisibleBlock):
         spatial_block_max(g, 0)
-    labeled = SpaceTimeGrid(g.values, time_labels=("t0", "t1"))
-    assert spatial_block_max(labeled, 2).time_labels == ("t0", "t1")
 
 
 def test_temporal_max_windows():
