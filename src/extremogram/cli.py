@@ -407,9 +407,9 @@ def _cmd_rate_check(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    windows = _parse_windows(args.windows)
     grid = fileio.read_space_time(args.input)
     blocked = spatial_block_max(grid, args.block)
-    windows = _parse_windows(args.windows)
     fields = temporal_max(blocked, windows)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = {

@@ -386,20 +386,22 @@ def lag_grid(max_dist: float, d: int) -> list[Lag]:
     """
     if not max_dist > 0:
         raise ValueError(f"max_dist must be positive, got {max_dist}")
+    offsets, norm_sq = _lattice_ball(max_dist, d)
+    lags = (Lag(tuple(row)) for row in offsets[norm_sq > 0].tolist())
+    return sorted(lags, key=lambda lag: (lag.norm_sq, lag.offset))
+
+
+def _lattice_ball(radius: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets (K, d) with ``|s| <= radius``, in lexicographic order, and their |s|^2."""
     if not 1 <= d <= 3:
         raise ValueError(f"d must be 1..3, got {d}")
-    reach = int(math.floor(max_dist))
-    axis = range(-reach, reach + 1)
-    limit = float(max_dist) * float(max_dist)
-    out: list[Lag] = []
-    grids = np.meshgrid(*([list(axis)] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
+    if not 0 <= radius < math.inf:
+        raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
+    axis = np.arange(-int(radius), int(radius) + 1)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
     norm_sq = (offsets * offsets).sum(axis=1)
-    keep = (norm_sq > 0) & (norm_sq <= limit)
-    for row in offsets[keep]:
-        out.append(Lag(tuple(int(x) for x in row)))
-    out.sort(key=lambda lag: (lag.norm_sq, lag.offset))
-    return out
+    keep = norm_sq <= float(radius) * float(radius)
+    return offsets[keep], norm_sq[keep]
 
 
 # ---------------------------------------------------------------------------

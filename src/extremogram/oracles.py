@@ -253,13 +253,13 @@ def lattice_counts(max_radius: float, h) -> LatticeCount:
     lag = as_lag(h)
     if lag.d != 2 or not lag.is_integer:
         raise ValueError("lattice_counts is defined for integer planar lags")
-    if not max_radius > 0:
-        raise ValueError(f"max_radius must be positive, got {max_radius}")
+    if not 0 < max_radius < math.inf:
+        raise ValueError(f"max_radius must be finite and positive, got {max_radius}")
     hx, hy = lag.int_offset()
     reach = int(math.floor(max_radius))
     r2_max = int(math.floor(max_radius * max_radius))
-    xs = np.arange(-reach - abs(hx), reach + 1)
-    ys = np.arange(-reach - abs(hy), reach + 1)
+    xs = np.arange(min(0, -hx) - reach, max(0, -hx) + reach + 1)
+    ys = np.arange(min(0, -hy) - reach, max(0, -hy) + reach + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     n_self = gx * gx + gy * gy
     n_shift = (gx + hx) ** 2 + (gy + hy) ** 2

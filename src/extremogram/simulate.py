@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationFailure
-from .fields import LatticeField, PointField, _frozen, _sealed, derive_rng, grid_sides
+from .fields import (LatticeField, PointField, _frozen, _lattice_ball, _sealed, derive_rng,
+                     grid_sides)
 
 __all__ = [
     "WeightSpec",
@@ -95,17 +96,19 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind == "indicator_ball":
-            if self.radius is None or not self.radius >= 0:
-                raise ValueError("indicator_ball needs radius >= 0")
+            if self.radius is None or not 0 <= self.radius < math.inf:
+                raise ValueError(f"indicator_ball needs a finite radius >= 0, got {self.radius}")
         elif self.kind == "geometric":
             if self.phi is None or not 0.0 < self.phi < 1.0:
                 raise ValueError("geometric needs phi in (0, 1)")
-            if self.truncation_radius is not None and not self.truncation_radius > 0:
-                raise ValueError("truncation_radius must be positive")
+            if self.truncation_radius is not None and not 0 < self.truncation_radius < math.inf:
+                raise ValueError("truncation_radius must be finite and positive")
         elif self.kind == "explicit":
             if not self.mapping:
                 raise ValueError("explicit needs a nonempty offset->weight mapping")
             d = len(self.mapping[0][0])
+            if not 1 <= d <= 3:
+                raise ValueError(f"explicit offsets must have 1 to 3 components, got {d}")
             for off, w in self.mapping:
                 if len(off) != d:
                     raise ValueError("explicit offsets must share one dimension")
@@ -145,8 +148,6 @@ class WeightSpec:
 
     def support(self, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
         """Offsets (K, d) and weights (K,) of the truncated support."""
-        if not 1 <= d <= 3:
-            raise ValueError(f"d must be 1..3, got {d}")
         if self.kind == "explicit":
             d_map = len(self.mapping[0][0])
             if d_map != d:
@@ -157,20 +158,10 @@ class WeightSpec:
             weights = np.array([w for _, w in self.mapping], dtype=float)
             order = np.lexsort(offsets.T[::-1])
             return offsets[order], weights[order]
-        radius = self.truncation(d)
-        reach = int(math.floor(radius))
-        axis = np.arange(-reach, reach + 1)
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        offsets = np.stack([g.ravel() for g in grids], axis=1)
-        norm_sq = (offsets * offsets).sum(axis=1)
-        keep = norm_sq <= radius * radius
-        offsets = offsets[keep]
-        norms = np.sqrt(norm_sq[keep].astype(float))
+        offsets, norm_sq = _lattice_ball(self.truncation(d), d)
         if self.kind == "indicator_ball":
-            weights = np.ones(len(offsets))
-        else:
-            weights = np.power(self.phi, norms)
-        return offsets, weights
+            return offsets, np.ones(len(offsets))
+        return offsets, np.power(self.phi, np.sqrt(norm_sq.astype(float)))
 
     def total_weight(self, d: int = 2) -> float:
         """Sum of weights over the truncated support."""
@@ -192,6 +183,8 @@ def _geometric_truncation_radius(phi: float, d: int, tol: float) -> int:
     using the shell-count bound above; the series is summed until terms
     stop mattering.
     """
+    if d not in _SHELL_BOUND_COEF:
+        raise ValueError(f"no shell-count bound for d={d}")
     coef = _SHELL_BOUND_COEF[d]
     for radius in range(1, 100000):
         tail = 0.0

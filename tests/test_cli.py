@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 
 import numpy as np
@@ -25,6 +26,7 @@ from extremogram import (
     mma_pa_extremogram,
     read_ese,
     read_field,
+    sim_frechet_iid,
     write_field,
     write_space_time,
 )
@@ -482,6 +484,8 @@ _ESTIMATE = ["estimate", "--input", "nope.csv", "--mode", "lattice", "--threshol
              "--lags", "1", "--out", "o.csv"]
 _RATE = ["rate-check", "--model", "mma1", "--reps", "2", "--seed", "0"]
 _SIMULATE = ["simulate", "--seed", "0", "--out", "x.csv"]
+# --windows is read before the input, so a missing input does not hide it
+_INGEST = ["ingest", "--input", "missing.csv", "--block", "1", "--out-dir", "fields"]
 
 
 _MALFORMED = [
@@ -496,8 +500,8 @@ _MALFORMED = [
     ("--region", "0,1,0", [*_SIMULATE, "--model", "point-field", "--count", "5"]),
     ("--weights", "ball:x", [*_SIMULATE, "--model", "mma"]),
     ("--weights", "cone:1", [*_SIMULATE, "--model", "mma"]),
-    ("--windows", "0-3", ["ingest", "--block", "1", "--out-dir", "fields"]),
-    ("--windows", "0:x", ["ingest", "--block", "1", "--out-dir", "fields"]),
+    ("--windows", "0-3", _INGEST),
+    ("--windows", "0:x", _INGEST),
     ("--sizes", "10,x", _RATE),
     ("--lags", "1,x", ["oracle", "--model", "mma1"]),
     ("--lags", "1,0,0,0;", _ESTIMATE),
@@ -509,9 +513,6 @@ _MALFORMED = [
 def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
         tmp_path, monkeypatch, capsys, flag, value, argv):
     monkeypatch.chdir(tmp_path)
-    if argv[0] == "ingest":  # the cube is read before the windows
-        write_space_time("cube.csv", SpaceTimeGrid(np.ones((6, 2, 2))))
-        argv = [*argv, "--input", "cube.csv"]
     code, out, err = run(capsys, *argv, flag, value)
     assert code == 1 and out == ""
     lines = err.strip().splitlines()
@@ -519,6 +520,40 @@ def test_a_malformed_flag_value_is_a_usage_error_naming_the_flag(
     payload = json.loads(lines[0])
     assert payload["error"] == "UsageError" and flag in payload["message"]
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "fields").exists()
+
+
+_BALL_CMDS = [
+    ["estimate", "--input", "f.csv", "--mode", "lattice", "--threshold", "q=0.9", "--out", "o.csv"],
+    ["bands", "--input", "f.csv", "--mode", "lattice", "--threshold", "q=0.9",
+     "--permutations", "100", "--seed", "0", "--out", "o.csv"],
+    ["mc", "--model", "mma1", "--dims", "8,8", "--threshold", "q=0.9", "--reps", "2",
+     "--seed", "0", "--out", "o.csv"],
+]
+_UNBOUNDED = [
+    *[[*argv, *by, "--lags", lags] for argv in _BALL_CMDS for by in ([], ["--by-distance"])
+      for lags in ("inf", "1e400")],
+    [*_SIMULATE, "--model", "mma", "--dims", "4,4", "--weights", "ball:inf"],
+    ["mc", "--model", "mma", "--dims", "4,4", "--weights", "ball:inf", "--threshold", "q=0.9",
+     "--lags", "1", "--reps", "2", "--seed", "0", "--out", "o.csv"],
+    ["rate-check", "--model", "mma", "--weights", "ball:inf", "--sizes", "8,10", "--reps", "2",
+     "--seed", "0", "--out", "o.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNBOUNDED, ids=[" ".join(argv) for argv in _UNBOUNDED])
+def test_an_unbounded_lag_or_weight_radius_is_refused_in_one_json_line(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_field("f.csv", sim_frechet_iid((10, 10), 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert "finite" in payload["message"]
+    if "--weights" in argv:
+        assert payload["error"] == "UsageError" and "--weights" in payload["message"]
+    assert sorted(os.listdir(tmp_path)) == ["f.csv"]
 
 
 def test_lag_grammar_errors(tmp_path, capsys):

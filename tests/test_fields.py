@@ -1,4 +1,5 @@
 """Container, set, lag, and threshold contracts."""
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from extremogram import (
     lag_grid,
     resolve_threshold,
 )
+from extremogram.fields import _lattice_ball
 
 
 def test_lattice_field_shape_and_freeze():
@@ -165,6 +167,28 @@ def test_lag_grid_small_cases():
     assert lag_grid(1.0, 1) and lag_grid(1.0, 3)
     with pytest.raises(ValueError):
         lag_grid(0.0, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, math.sqrt(2.0), 2.5, 3.0])
+def test_lattice_ball_equals_a_brute_force_loop(d, radius):
+    # itertools.product walks the box in lexicographic order
+    rows = [s for s in itertools.product(range(-4, 5), repeat=d)
+            if sum(c * c for c in s) <= radius * radius]
+    offsets, norm_sq = _lattice_ball(radius, d)
+    assert np.array_equal(offsets, np.array(rows).reshape(-1, d))
+    assert np.array_equal(norm_sq, [sum(c * c for c in s) for s in rows])
+    assert offsets.dtype.kind == norm_sq.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("radius, d", [
+    (math.inf, 2), (math.nan, 2), (-1.0, 2), (1.0, 0), (1.0, 4),
+])
+def test_lattice_ball_refuses_a_bad_radius_or_dimension(radius, d):
+    with pytest.raises(ValueError):
+        _lattice_ball(radius, d)
+    with pytest.raises(ValueError):
+        lag_grid(radius, d)
 
 
 def test_derive_rng_is_keyed_and_stable():

@@ -1,7 +1,9 @@
 """Dispatch, permutation bands, Monte Carlo harness, rate check."""
 import functools
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from extremogram import (
     sim_mma,
     sim_point_field,
 )
+import extremogram
 from extremogram import oracles, simulate
 from extremogram.inference import _CHUNK_BYTES, estimator_plan
 from extremogram.kernel import KernelPlan
@@ -604,6 +607,23 @@ def _record_calls(monkeypatch, name, calls):
             for key, val in list(vars(mod).items()):
                 if val is original:
                     monkeypatch.setattr(mod, key, wrapper)
+
+
+def test_the_benchmark_tracer_binds_every_traced_name():
+    # Tracer.install raises for a traced name the package no longer binds,
+    # and then every benchmark run fails
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install(extremogram)
+        patches = list(t._patches)
+    finally:
+        t.uninstall()
+    assert len(patches) >= len(tracer.TRACED)
+    assert all(getattr(target, key) is original for target, key, original in patches)
 
 
 def test_traced_call_chains_reach_the_declared_estimators(monkeypatch):

@@ -39,6 +39,7 @@ from extremogram import (
     write_rate,
     write_space_time,
 )
+from extremogram.cli import main
 
 RAY = ExtremeSet.ray(1.0)
 Q90 = ThresholdRule.quantile(0.9)
@@ -493,6 +494,49 @@ def test_writers_refuse_a_path_that_is_its_own_sidecar(tmp_path):
         with pytest.raises(ValueError, match="sidecar"):
             write(p, obj)
         assert not p.exists()
+
+
+_FIELD_ROWS = "x,value\n0,1\n"
+_REFUSED_FILES = [
+    (read_field, '# {"kind": "lattice", "dims": [1]}\n', ": too short to be a field file"),
+    (read_field, "# {dims\n" + _FIELD_ROWS, ": line 1: bad JSON header"),
+    (read_field, '# {"dims": [1]}\n' + _FIELD_ROWS, ": line 1: header must be an object with 'kind'"),
+    (read_field, '# {"kind": "mesh"}\n' + _FIELD_ROWS, ": unknown field kind 'mesh'"),
+    (read_ese, "lag_x,rho\n1,0.5\n", ": line 1: expected header lag_x,lag_y,"),
+    (read_space_time, "t,x,value\n0,0,1\n", ": line 1: expected header t,x,y,value"),
+    (read_space_time, "t,x,y,value\n", ": no data rows"),
+    (read_space_time, "t,x,y,value\n0,0,0,1\n0,0,1,-1\n", ": line 3: value must be finite"),
+    (read_space_time, "t,x,y,value\n0,0,0,inf\n", ": line 2: value must be finite"),
+    (read_space_time, "t,x,y,value\n0,0,0,nan\n", ": line 2: value must be finite"),
+]
+
+
+@pytest.mark.parametrize("read, text, needle", _REFUSED_FILES,
+                         ids=[f"{read.__name__}-{i}" for i, (read, _, _) in enumerate(_REFUSED_FILES)])
+def test_a_refused_file_names_its_path_and_line(
+        tmp_path, monkeypatch, capsys, read, text, needle):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path}{needle}")
+    if read is read_ese:  # no command reads an estimate table
+        return
+    monkeypatch.chdir(tmp_path)
+    if read is read_field:
+        argv = ["estimate", "--mode", "lattice", "--threshold", "q=0.9", "--lags", "1",
+                "--out", "o.csv"]
+    else:
+        argv = ["ingest", "--block", "1", "--windows", "0:1", "--out-dir", "o"]
+    assert main([*argv, "--input", "in.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DataFormatError"
+    assert payload["message"].startswith(f"in.csv{needle}")
+    assert os.listdir(tmp_path) == ["in.csv"]
 
 
 @pytest.mark.parametrize("bad", ["-1.5", "nan"])

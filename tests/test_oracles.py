@@ -6,6 +6,7 @@ forms, direct normal-CDF evaluation for the Gaussian-based ones) before
 the library code existed, so agreement here is a genuine cross-check
 rather than the library testing itself.
 """
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,47 @@ def test_lattice_counts_q_doubles_p_below_half_lag():
     counts = lattice_counts(10.0, Lag.of(6, 0))
     under = counts.norm_sq < (6.0 / 2.0) ** 2
     assert np.array_equal(counts.q[under], 2 * counts.p[under])
+
+
+def _brute_force_q(max_radius, h):
+    """q(r) by a loop over a box that holds the balls around 0 and -h."""
+    reach = int(max_radius) + 7
+    counts = {}
+    for x in range(-reach, reach + 1):
+        for y in range(-reach, reach + 1):
+            key = min(x * x + y * y, (x + h[0]) ** 2 + (y + h[1]) ** 2)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_lattice_counts_q_is_symmetric_in_h_and_equals_brute_force():
+    # every lag with |h_i| <= 6, so each sign pattern of the components
+    for max_radius in (3.0, 5.5, 8.0):
+        r2_max = int(max_radius * max_radius)
+        for h in itertools.product(range(-6, 7), repeat=2):
+            if h == (0, 0):
+                continue
+            counts = lattice_counts(max_radius, h)
+            mirror = lattice_counts(max_radius, tuple(-c for c in h))
+            brute = _brute_force_q(max_radius, h)
+            assert counts.norm_sq.max() <= r2_max
+            assert counts.q.tolist() == [brute.get(k, 0) for k in counts.norm_sq.tolist()], h
+            assert np.array_equal(counts.q, mirror.q) and np.array_equal(counts.p, mirror.p)
+
+
+def test_geometric_classsum_is_symmetric_in_h():
+    for h in [(3, 4), (1, 0), (2, 1), (5, 2)]:
+        for sign in itertools.product((1, -1), repeat=2):
+            flipped = tuple(s * c for s, c in zip(sign, h))
+            for g in (flipped, tuple(-c for c in flipped)):
+                assert mma_geometric_extremogram_classsum(0.5, g, 8.0) == \
+                    mma_geometric_extremogram_classsum(0.5, h, 8.0), g
+
+
+@pytest.mark.parametrize("max_radius", [math.inf, math.nan, 0.0, -1.0])
+def test_lattice_counts_refuses_a_radius_that_is_not_finite_and_positive(max_radius):
+    with pytest.raises(ValueError, match="max_radius"):
+        lattice_counts(max_radius, (1, 0))
 
 
 def test_geometric_classsum_frozen_values():

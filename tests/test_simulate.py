@@ -92,6 +92,29 @@ def test_weight_spec_explicit():
         WeightSpec(kind="explicit", mapping=(((0, 0), 1.0), ((0, 0), 2.0)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeightSpec.indicator_ball(math.inf),
+    lambda: WeightSpec.indicator_ball(math.nan),
+    lambda: WeightSpec.geometric(0.5, truncation_radius=math.inf),
+    lambda: WeightSpec.explicit({(0, 0, 0, 0): 1.0}),
+], ids=["ball:inf", "ball:nan", "geometric-truncation-inf", "explicit-4d"])
+def test_weight_spec_refuses_an_unbounded_radius_or_a_4d_offset(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("weights", [
+    WeightSpec.indicator_ball(1.0),
+    WeightSpec.geometric(0.5),
+    WeightSpec.geometric(0.5, truncation_radius=2.0),
+    WeightSpec.explicit({(0, 0): 1.0, (1, 0): 0.5}),
+])
+@pytest.mark.parametrize("d", [0, 4])
+def test_weight_support_refuses_a_dimension_outside_1_to_3(weights, d):
+    with pytest.raises(ValueError):
+        weights.support(d)
+
+
 def test_mma_marginal_law():
     """P(X <= x) = exp(-W_tot/x): the padded convolution sees full support."""
     w = WeightSpec.indicator_ball(1.0)
