@@ -12,7 +12,6 @@ Each draw loop reuses one site set, so it builds one ``BrPlan`` (the
 factored covariance of those sites) and passes it to every draw.
 """
 import numpy as np
-from scipy.stats import kstest
 
 from extremogram import (
     BrPlan,
@@ -28,6 +27,14 @@ from extremogram.oracles import br_pa_tau
 vario = VariogramSpec(theta=0.5, alpha=2.0)
 frechet = lambda x: np.exp(-1.0 / x)  # noqa: E731
 
+
+def ks_distance(sample, cdf):
+    """Kolmogorov-Smirnov distance max(D+, D-) between a sample and a continuous CDF."""
+    f = cdf(np.sort(sample))
+    n = f.size
+    return max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+
+
 # margins: spectral on a small window (series truncation limits the
 # usable radius), gaussian-max on a 20x20 window
 small = centered_grid_sites((5, 5), 1.0)
@@ -37,7 +44,7 @@ pool = np.concatenate(
     [sim_brown_resnick(small, vario, cfg, seed=r, plan=plan).values for r in range(320)]
 )
 print(f"{'spectral':>13}: KS distance to unit Frechet = "
-      f"{kstest(pool, frechet).statistic:.4f} ({pool.size} site-draws, 5x5 window)")
+      f"{ks_distance(pool, frechet):.4f} ({pool.size} site-draws, 5x5 window)")
 
 wide = centered_grid_sites((20, 20), 0.5)
 cfg = BrSimConfig.gaussian_max(1600)
@@ -46,7 +53,7 @@ pool = np.concatenate(
     [sim_brown_resnick(wide, vario, cfg, seed=r, plan=plan).values for r in range(20)]
 )
 print(f"{'gaussian-max':>13}: KS distance to unit Frechet = "
-      f"{kstest(pool, frechet).statistic:.4f} ({pool.size} site-draws, 20x20 window)")
+      f"{ks_distance(pool, frechet):.4f} ({pool.size} site-draws, 20x20 window)")
 
 # pairwise check: m * P(both sites exceed a_m) at physical distance 1,
 # on a dense spectral grid kept close to the origin.  Joint exceedances

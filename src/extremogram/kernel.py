@@ -9,13 +9,13 @@ concentrated on a disc of radius bandwidth/2.  The estimate is
     p_hat      = (m / (nu |S|))  #{i: value in a_m A}
 
 with |S| the area of the sampling rectangle and nu the point intensity
-(measured, or the plug-in N/|S|).  Per lag h, one query between a
-KD-tree of the shifted points s_i + h and a KD-tree of the points s_j
-returns the candidate pairs (i, j) as index arrays, which restricts the
-double sum to pairs inside the kernel support; weight contributions are
-summed in ascending order, so results are independent of point storage
-order and bit-identical to a brute-force double loop that sums the same
-way.
+(measured, or the plug-in N/|S|).  The points are bucketed once into
+square cells at least as wide as the kernel support; per lag h, the
+candidates j of point i are the points in the 3x3 block of cells around
+s_i + h, and the support test keeps the pairs inside the kernel disc.
+Weight contributions are summed in ascending order, so results are
+independent of point storage order and bit-identical to a brute-force
+double loop that sums the same way.
 
 Every estimate runs over one value-free :class:`KernelPlan`, which also
 pools the output rows; values enter only as indicator vectors with a
@@ -45,6 +45,8 @@ __all__ = [
 _SHAPES = ("box", "epanechnikov")
 # directions representing each distance of kernel_ese_by_distance
 _N_ANGLES = 8
+# relative slack of a search cell over the support radius
+_CELL_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -157,24 +159,63 @@ def _p_hat(pf: PointField, set_a: ExtremeSet, a_m: float, m: float,
     return m * n_a / (nu_used * pf.area), n_a
 
 
+class _CellGrid:
+    """Planar points bucketed into square cells, for fixed-radius pair search.
+
+    The cell side is at least ``radius * (1 + _CELL_MARGIN)``, so every
+    point within ``radius`` of a query lies in the 3x3 block of cells
+    around the query's cell, and at least extent/sqrt(N), so the table
+    holds O(N) cells whatever the radius.  The margin outweighs the
+    rounding of the cell coordinates and of the support test by orders of
+    magnitude.  The table is padded by two empty cells on each side, and
+    a query more than one cell outside the occupied box has no candidates.
+    """
+
+    def __init__(self, locations: np.ndarray, radius: float):
+        n = len(locations)
+        lo, hi = (locations.min(axis=0), locations.max(axis=0)) if n else (np.zeros(2),) * 2
+        self.side = max(radius * (1.0 + _CELL_MARGIN), float((hi - lo).max()) / math.sqrt(max(n, 1)))
+        self.coords = (locations - lo) / self.side  # in cell units, cell (0, 0) at lo
+        self.span = np.floor((hi - lo) / self.side).astype(np.int64)  # last occupied cell
+        self.width = int(self.span[1]) + 5
+        cell_x, cell_y = np.floor(self.coords).astype(np.int64).T + 2
+        key = cell_x * self.width + cell_y
+        self.order = np.argsort(key, kind="stable")
+        per_cell = np.bincount(key, minlength=(int(self.span[0]) + 5) * self.width)
+        self.starts = np.concatenate([[0], np.cumsum(per_cell)])
+
+    def candidates(self, h) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j): every point j in the 3x3 block of cells
+        around the cell of s_i + h, for each point i."""
+        query_x, query_y = np.floor(self.coords + np.asarray(h) / self.side).T
+        near = np.flatnonzero((query_x >= -1) & (query_x <= self.span[0] + 1)
+                              & (query_y >= -1) & (query_y <= self.span[1] + 1))
+        centre = (query_x[near].astype(np.int64) + 2) * self.width + query_y[near].astype(np.int64) + 2
+        # each column of the block is 3 consecutive keys, from the one below the centre row
+        first_cell = (centre[:, None] + (np.arange(-1, 2) * self.width - 1)).ravel()
+        first = self.starts[first_cell]
+        count = self.starts[first_cell + 3] - first
+        ends = np.cumsum(count)
+        sorted_j = np.arange(count.sum()) - np.repeat(ends - count - first, count)
+        return np.repeat(np.repeat(near, 3), count), self.order[sorted_j]
+
+
 class KernelPlan:
     """Value-free geometry of a kernel estimate at vector ``lags`` or,
     with ``by_distance``, at the rings of the distances ``lags``: per
     lag, the ordered pairs (i, j), i != j, inside the kernel support and
     their weights w_n, ascending, so masked sums add in ascending order.
 
-    Candidates for lag h come as index arrays from
-    ``cKDTree.sparse_distance_matrix`` between the shifted points s_i + h
-    and the points s_j, at a radius slightly above the support's; the
-    support test ``|(s_i - s_j) + h|^2 / lambda^2 <= 1/4`` then decides
-    membership.
+    The locations are bucketed once into a cell grid (``_CellGrid``)
+    whose cells are at least as wide as the support radius.  For lag h
+    the candidates j of point i are the points in the 3x3 block of cells
+    around s_i + h; the support test
+    ``|(s_i - s_j) + h|^2 / lambda^2 <= 1/4`` then decides membership.
     ``lags`` and ``pair_count`` are per lag; ``row_lags`` and
     ``distances`` label the rows ``pool`` forms.
     """
 
     def __init__(self, locations: np.ndarray, kernel: KernelSpec, lags, by_distance: bool = False):
-        from scipy.spatial import cKDTree
-
         self.locations = locations
         self.kernel = kernel
         self.by_distance = by_distance
@@ -185,24 +226,25 @@ class KernelPlan:
         self.distances = np.array([lag.norm for lag in self.row_lags])
         if not self.lags:
             raise ValueError("no lags to estimate: give at least one lag or distance")
-        tree = cKDTree(locations)
+        grid = _CellGrid(locations, kernel.support_radius)
+        loc_x, loc_y = np.ascontiguousarray(locations.T)
         lam = kernel.bandwidth
         self._pairs = []
         for lag in self.lags:
-            h_vec = np.asarray(lag.offset, dtype=float)
-            # slightly inflated query; membership is then decided from the
-            # sign-symmetric difference (s_i - s_j) + h, whose negation is
-            # exact, so tau(h) == tau(-h) holds bit-for-bit when A == B
-            near = cKDTree(locations + h_vec).sparse_distance_matrix(
-                tree, kernel.support_radius * (1.0 + 1e-9), output_type="ndarray"
-            )
-            idx_i, idx_j = near["i"], near["j"]
-            scaled_diffs = ((locations[idx_i] - locations[idx_j]) + h_vec) / lam
-            nsq = np.sum(scaled_diffs * scaled_diffs, axis=1)
-            inside = (idx_i != idx_j) & (nsq <= 0.25)
+            h_x, h_y = lag.offset
+            i, j = grid.candidates(lag.offset)
+            # the support test on the scaled (s_i - s_j) + h, one component
+            # at a time; its negation is exact, so tau(h) == tau(-h) holds
+            # bit-for-bit when A == B
+            d_x = ((loc_x[i] - loc_x[j]) + h_x) / lam
+            d_y = ((loc_y[i] - loc_y[j]) + h_y) / lam
+            nsq = d_x * d_x + d_y * d_y
+            inside = np.flatnonzero(nsq <= 0.25)
+            inside = inside[i[inside] != j[inside]]
             weights = kernel.profile(nsq[inside]) / (lam * lam)
             order = np.argsort(weights, kind="stable")
-            self._pairs.append((idx_i[inside][order], idx_j[inside][order], weights[order]))
+            inside = inside[order]
+            self._pairs.append((i[inside], j[inside], weights[order]))
         self.pair_count = np.array([len(w) for _, _, w in self._pairs], dtype=np.int64)
 
     def counts(self, ind_a: np.ndarray, ind_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,9 +289,8 @@ def kernel_tau_hat(
 
     For lag h, the pairs visited are exactly those with
     |h + s_i - s_j| <= bandwidth/2 (the pairs of :class:`KernelPlan`,
-    found by one KD-tree query between the shifted positions s_i + h and
-    the locations); the A indicator is evaluated at point i and the B
-    indicator at point j.
+    found through a cell grid of the locations); the A indicator is
+    evaluated at point i and the B indicator at point j.
 
     ``plan`` is ``KernelPlan(pf.locations, kernel, lags)`` built
     beforehand, so that several estimates can share it; it is used as

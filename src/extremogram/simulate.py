@@ -57,8 +57,8 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 _PHI_CLIP = 1.0 - 1e-16  # keep Phi(z) away from 1 before taking logs
-# scipy's ndtr can drop between arguments a few ULPs apart; past this gap
-# it is monotone (see _sim_br_gaussian_max)
+# _ndtr, like the scipy ndtr it ports, can drop between arguments a few
+# ULPs apart; past this gap it is monotone (see _sim_br_gaussian_max)
 _TIE_MARGIN = 1e-10
 _JITTER = 1e-10  # added to a covariance diagonal before it is factored
 _TAIL_TOL = 1e-12  # geometric weights: tail mass left beyond the truncation
@@ -282,6 +282,69 @@ class BrSimResult:
     truncation_fraction: float | None
     method: str
     clip_fraction: float | None = None
+
+
+# ---------------------------------------------------------------------------
+# the standard normal CDF
+
+# cephes' erfc on [1, 8) is exp(-x^2) P(x)/Q(x), on [8, inf) exp(-x^2) R(x)/S(x),
+# and erf on [0, 1) is x T(x^2)/U(x^2); Q, S and U have an implied leading 1.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _horner(x: float, coefs: tuple, lead: float = 0.0) -> float:
+    """cephes' polevl (lead 0) and p1evl (lead 1): ``a = a*x + c`` in order."""
+    for c in coefs:
+        lead = lead * x + c
+    return lead
+
+
+def _erf(x: float) -> float:
+    """cephes' erf for 0 <= x <= 1."""
+    z = x * x
+    return x * _horner(z, _T) / _horner(z, _U, 1.0)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, a port of cephes' ndtr, erf and erfc (Moshier).
+
+    It is the code behind ``scipy.special.ndtr``, in the same operations
+    and order on Python floats, so it equals scipy's value bit for bit:
+    ``tests/test_oracles.py::test_ndtr_equals_scipy_bit_for_bit`` checks
+    every branch with ``==``.  The gaussian-max draws and the
+    Brown-Resnick oracles call it, so the package loads no scipy.  erfc's
+    arguments here are never negative, so its negative branch is left out.
+    """
+    if math.isnan(x):
+        return x
+    t = x * _SQRT1_2
+    z = abs(t)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * math.copysign(_erf(z), t)
+    if z < 1.0:
+        tail = 1.0 - _erf(z)
+    elif -z * z < -_MAXLOG:
+        tail = 0.0  # exp(-z^2) underflows
+    else:
+        p, q = (_P, _Q) if z < 8.0 else (_R, _S)
+        tail = math.exp(-z * z) * _horner(z, p) / _horner(z, q, 1.0)
+    y = 0.5 * tail
+    return 1.0 - y if t > 0 else y
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +608,19 @@ def _sim_br_gaussian_max(plan, rng):
 
     The transform runs on each row's max alone.  That equals the max of the
     transformed row because the transform is monotone: ``min``, ``log`` and
-    ``-1/x`` are, and ``ndtr`` is between arguments more than
+    ``-1/x`` are, and ``_ndtr`` is between arguments more than
     ``_TIE_MARGIN`` apart.  Closer than that it can drop by an ULP, so a row
     with a second entry within ``_TIE_MARGIN`` of its max is transformed
     whole before its max is taken.
     """
-    from scipy.special import ndtr
-
     n_rep = plan.config.n_gaussians
     gauss = plan.factor @ rng.standard_normal((len(plan.sites), n_rep))
     top = gauss.max(axis=1)
-    phi_top = ndtr(top)
+    phi_top = np.array([_ndtr(v) for v in top.tolist()])
     values = _phi_to_frechet(phi_top)
     near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
-    values[near] = _phi_to_frechet(ndtr(gauss[near])).max(axis=1)
+    for k in np.flatnonzero(near):
+        values[k] = _phi_to_frechet(np.array([_ndtr(v) for v in gauss[k].tolist()])).max()
     return BrSimResult(
         values=values / n_rep,
         truncation_fraction=None,

@@ -28,7 +28,7 @@ from extremogram import (
     resolve_threshold,
     sim_point_field,
 )
-from extremogram.kernel import KernelPlan
+from extremogram.kernel import KernelPlan, _CellGrid
 
 RAY = ExtremeSet.ray(1.0)
 
@@ -351,6 +351,70 @@ def test_by_distance_plan_at_ten_distances_equals_double_loop():
     plan = KernelPlan(pf.locations, kernel, range(1, 11), by_distance=True)
     assert len(plan.lags) == 80 and np.all(plan.pair_count[-8:] > 0)
     _assert_plan_matches_double_loop(pf, (RAY, ExtremeSet(1.0, 3.0)), ThresholdRule.quantile(0.7), kernel, plan)
+
+
+def _moved(pf, shift):
+    x0, x1, y0, y1 = pf.region
+    return PointField(pf.locations + shift, pf.values,
+                      (x0 + shift[0], x1 + shift[0], y0 + shift[1], y1 + shift[1]))
+
+
+_STRESS_CASES = {
+    # coordinates near 5e5 carry ULPs of about 1e-10 into every difference
+    "far from the origin": lambda: (
+        _moved(scatter(60, seed=30, side=4.0), (5e5, -5e5)), KernelSpec.epanechnikov(0.9),
+        [Lag.of(0.0, 0.0), Lag.of(0.7, -0.4), Lag.of(-1.5, 1.0), Lag.of(0.45, 0.0)]),
+    # the support covers the whole region, so one cell holds every point
+    "bandwidth wider than the region": lambda: (
+        scatter(40, seed=31, side=2.0), KernelSpec.box(5.0),
+        [Lag.of(0.0, 0.0), Lag.of(1.0, 1.0), Lag.of(3.0, -0.5)]),
+    "two points": lambda: (
+        PointField(np.array([[0.2, 0.3], [0.9, 0.6]]), [2.0, 3.0], (0.0, 1.0, 0.0, 1.0)),
+        KernelSpec.box(0.5), [Lag.of(0.7, 0.3), Lag.of(-0.7, -0.3), Lag.of(0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRESS_CASES))
+def test_plan_stress_cases_equal_double_loop(case):
+    pf, kernel, lags = _STRESS_CASES[case]()
+    plan = KernelPlan(pf.locations, kernel, lags)
+    assert plan.pair_count.sum() > 0
+    for sets in [(RAY, RAY), (RAY, ExtremeSet(1.0, 2.5))]:
+        _assert_plan_matches_double_loop(pf, sets, ThresholdRule.absolute(1.0), kernel, plan)
+
+
+def test_a_lag_beyond_the_region_diagonal_has_no_pairs():
+    pf = scatter(50, seed=32, side=5.0)
+    kernel = KernelSpec.box(1.0)
+    plan = KernelPlan(pf.locations, kernel, [Lag.of(8.0, 8.0), Lag.of(-45.0, 0.0)])
+    _assert_plan_matches_double_loop(pf, (RAY, RAY), ThresholdRule.quantile(0.8), kernel, plan)
+    res = kernel_ese(pf, RAY, RAY, ThresholdRule.quantile(0.8), kernel, plan.lags, plan=plan)
+    assert res.bandwidth_degenerate and res.pair_count.tolist() == [0, 0]
+    assert res.rho_hat.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_a_plan_over_fewer_than_two_points_has_no_pairs(n_points):
+    locations = np.full((n_points, 2), 0.5)
+    kernel = KernelSpec.box(1.0)
+    assert KernelPlan(locations, kernel, [Lag.of(0.0, 0.0), Lag.of(0.3, 0.0)]).pair_count.tolist() == [0, 0]
+    assert KernelPlan(locations, kernel, [1.0], by_distance=True).pair_count.tolist() == [0] * 8
+
+
+def test_a_tiny_bandwidth_keeps_the_cell_table_linear_in_the_points():
+    # a 1e-9 bandwidth on a 40 x 40 region: cells of the support's width
+    # would number about 1e21; the table holds about one cell per point
+    base = scatter(1596, seed=33, side=40.0)
+    locations = np.concatenate([base.locations, base.locations[:4]])
+    kernel = KernelSpec.box(1e-9)
+    plan = KernelPlan(locations, kernel, [Lag.of(0.0, 0.0), Lag.of(2.5e-10, 0.0), Lag.of(1.0, 0.0)])
+    # only the four copies pair with their originals, in both orders
+    copies = {(k, 1596 + k) for k in range(4)}
+    for i, j, _ in plan._pairs[:2]:
+        assert set(zip(i.tolist(), j.tolist())) == copies | {(j, i) for i, j in copies}
+    assert plan.pair_count.tolist() == [8, 8, 0]
+    grid = _CellGrid(locations, kernel.support_radius)
+    assert len(grid.starts) - 1 <= (math.isqrt(len(locations)) + 5) ** 2
 
 
 def test_kernel_ese_over_a_by_distance_plan_equals_kernel_ese_by_distance():

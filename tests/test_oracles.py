@@ -34,7 +34,8 @@ from extremogram import (
 )
 from extremogram import oracles
 from extremogram.fields import ExtremeSet
-from extremogram.oracles import MmaLaw, _ndtr, br_pa_exceedance
+from extremogram.oracles import MmaLaw, br_pa_exceedance
+from extremogram.simulate import _MAXLOG, _ndtr
 
 M_3PCT = 100.0 / 3.0  # tail index for a 3% exceedance rate
 
@@ -374,7 +375,7 @@ def test_ndtr_equals_scipy_bit_for_bit():
         1.0, -1.0,  # erf for |x| < 1, erfc past it
         math.sqrt(2.0), -math.sqrt(2.0),  # erfc's own switch to erf below 1
         8.0 * math.sqrt(2.0), -8.0 * math.sqrt(2.0),  # P/Q below, R/S above
-        -math.sqrt(2.0 * oracles._MAXLOG),  # exp(-x^2/2) underflow exit
+        -math.sqrt(2.0 * _MAXLOG),  # exp(-x^2/2) underflow exit
         -38.0, -38.5, -40.0,  # past it: 0
     ]
     for edge in edges:
@@ -386,7 +387,7 @@ def test_ndtr_equals_scipy_bit_for_bit():
     assert mismatched.size == 0, mismatched[:5]
     assert math.isnan(_ndtr(math.nan))
     # the underflow exit is live: exp(-19 * 38) is a subnormal > 0, yet Phi(-38) is 0
-    edge = -math.sqrt(2.0 * oracles._MAXLOG)
+    edge = -math.sqrt(2.0 * _MAXLOG)
     assert _ndtr(math.nextafter(edge, 0.0)) > 0.0 and _ndtr(-38.0) == 0.0
 
 

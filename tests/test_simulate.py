@@ -41,6 +41,7 @@ from extremogram.simulate import (
     _PHI_CLIP,
     _TIE_MARGIN,
     _frechet,
+    _ndtr,
     _pairwise,
     _psd_factor,
     _sim_br_gaussian_max,
@@ -411,11 +412,13 @@ def test_gaussian_max_transforms_a_near_tie_row_whole():
 
 
 def test_ndtr_is_monotone_across_the_tie_margin():
-    # the gaussian_max shortcut rests on this: a scipy whose ndtr can drop
-    # across a gap of _TIE_MARGIN would make it inexact
+    # the gaussian_max shortcut rests on this: a normal CDF that can drop
+    # across a gap of _TIE_MARGIN would make it inexact.  scipy's ndtr is
+    # checked on many arguments; the port that the draws call, on a few
     x = np.random.default_rng(0).uniform(-38.0, 9.0, 1_000_000)
     for gap in (_TIE_MARGIN, 3 * _TIE_MARGIN, 1e3 * _TIE_MARGIN):
         assert np.all(ndtr(x + gap) >= ndtr(x)), gap
+        assert all(_ndtr(v + gap) >= _ndtr(v) for v in x[:20_000].tolist()), gap
 
 
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
