@@ -52,6 +52,7 @@ from .inference import (
     run_estimator,
 )
 from .kernel import KernelSpec
+from .lattice import _grid_lags
 from .oracles import BrLaw, MmaLaw
 from .pipeline import spatial_block_max, temporal_max
 from .simulate import (
@@ -158,8 +159,8 @@ def _parse_lag_spec(text: str, flag: str):
     return ("vectors", vectors)
 
 
-def _resolve_lags(spec, config: EstimatorConfig, d: int):
-    """Turn a parsed lag flag into what run_estimator expects."""
+def _resolve_lags(spec, config: EstimatorConfig, dims):
+    """Turn a parsed lag flag into what run_estimator expects (``dims`` None: points)."""
     kind, value = spec
     if config.by_distance:
         if config.mode == "lattice":
@@ -176,7 +177,9 @@ def _resolve_lags(spec, config: EstimatorConfig, d: int):
     if kind == "vectors":
         return [Lag.of(*v) for v in value]
     if kind == "scalar":
-        return lag_grid(value, d)
+        if config.mode == "lattice" and dims is not None:
+            return _grid_lags(dims, value)
+        return lag_grid(value, 2 if dims is None else len(dims))
     raise UsageError(
         "a comma list of distances needs --by-distance; "
         "use 'x,y;x,y' for explicit vector lags"
@@ -281,7 +284,7 @@ def _estimate_once(args):
     lag_spec = _parse_lag_spec(args.lags, "--lags")
     data = _read_input(args.input)
     _check_mode_matches(data, args.mode)
-    lags = _resolve_lags(lag_spec, config, getattr(data, "d", 2))
+    lags = _resolve_lags(lag_spec, config, getattr(data, "dims", None))
     return data, set_a, set_b, rule, config, lags
 
 
@@ -375,11 +378,11 @@ def _field_model(args):
 def _cmd_mc(args) -> int:
     model = _field_model(args)
     config = _estimator_config(args)
-    d = 2 if args.model == "point-field" else len(_parse_dims(args.dims))  # points are planar
-    lags = _resolve_lags(_parse_lag_spec(args.lags, "--lags"), config, d)
+    dims = getattr(model, "dims", None)
+    lags = _resolve_lags(_parse_lag_spec(args.lags, "--lags"), config, dims)
     set_a, set_b = _parse_sets(args)
-    if args.out:
-        fileio._check_planar(d)  # before the study, not after it
+    if args.out and dims is not None:
+        fileio._check_planar(len(dims))  # before the study, not after it
     summary = mc_study(
         model, set_a, set_b, _parse_threshold(args.threshold), config, lags,
         n_reps=args.reps, seed=args.seed,

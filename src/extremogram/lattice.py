@@ -63,21 +63,30 @@ def _check_lag(dims: tuple[int, ...], lag: Lag) -> tuple[int, ...]:
     return off
 
 
+def _grid_lags(dims: tuple[int, ...], max_dist: float) -> list[Lag]:
+    """`lag_grid`'s lags within ``max_dist`` on a grid of ``dims``.  A max distance
+    reaching the shortest side, whose axis lag cannot fit, is refused before
+    `lag_grid` lists its whole (2r+1)^d box; `lag_grid` refuses a non-finite one."""
+    if min(dims) <= max_dist < math.inf:
+        raise LagOutOfRange(f"max distance {max_dist:g} does not fit a grid with side lengths {dims}")
+    return lag_grid(max_dist, len(dims))
+
+
 class LatticePlan:
     """Value-free geometry of a lattice estimate on a grid of shape ``dims``:
     of `lattice_ese` at vector ``lags`` or, with ``by_distance``, of
     `lattice_ese_by_distance` at the max distance ``lags``.
 
     Holds, per lag, the slices picking the displaced and base sites and
-    the pair count n(h); with ``by_distance`` the lags are pooled into
-    one row per squared norm, sorted by distance, each represented by
-    the lexicographically largest member of its class.  ``lags``,
-    ``distances`` and ``pair_count`` describe the output rows.
+    the pair count n(h).  An output row sums a run of lags: one vector
+    lag or, with ``by_distance``, a distance class, the run of one squared
+    norm in the sorted `lag_grid`, represented by its last (lexicographically
+    largest) lag.  ``lags``, ``distances`` and ``pair_count`` describe the rows.
     """
 
     def __init__(self, dims, lags, by_distance: bool = False):
         dims = tuple(dims)
-        lag_list = lag_grid(float(lags), len(dims)) if by_distance else [as_lag(h) for h in lags]
+        lag_list = _grid_lags(dims, float(lags)) if by_distance else [as_lag(h) for h in lags]
         if not lag_list:
             raise ValueError(
                 "no lags to estimate: give at least one lag, or a max distance of at least 1"
@@ -90,27 +99,19 @@ class LatticePlan:
             dtype=np.int64,
         )
         self.by_distance = by_distance
-        if by_distance:
-            keys = [int(round(lag.norm_sq)) for lag in lag_list]
-            classes = sorted(set(keys))
-            # lag-by-row 0/1 membership; integer sums pool exactly
-            self._members = np.array(
-                [[k == key for key in classes] for k in keys], dtype=np.int64
-            ).reshape(len(keys), len(classes))
-            self.lags = tuple(
-                Lag(max(lag.offset for lag, k in zip(lag_list, keys) if k == key))
-                for key in classes
-            )
-            self.distances = np.array([math.sqrt(key) for key in classes])
-        else:
-            self._members = None
-            self.lags = tuple(lag_list)
-            self.distances = np.array([lag.norm for lag in lag_list])
+        norm_sq = np.array([lag.norm_sq for lag in lag_list])
+        ends = (np.flatnonzero(np.diff(norm_sq, append=np.inf)) if by_distance
+                else np.arange(len(lag_list)))
+        self._starts = np.r_[0, ends[:-1] + 1]
+        self.lags = tuple(lag_list[k] for k in ends)
+        self.distances = (np.sqrt(norm_sq[ends]) if by_distance
+                          else np.array([lag.norm for lag in lag_list]))
         self.pair_count = self._pool(lag_pairs[None, :])[0]
 
     def _pool(self, per_lag: np.ndarray) -> np.ndarray:
-        """Sum per-lag columns of a (batch, lags) array into output rows."""
-        return per_lag if self._members is None else per_lag @ self._members
+        """Sum each run of per-lag columns of a (batch, lags) array into its
+        output row; integer sums pool exactly."""
+        return np.add.reduceat(per_lag, self._starts, axis=1)
 
     def rows(self, ind_a: np.ndarray, ind_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(hits, rho_hat), each ``(batch, rows)``, for flat indicator
@@ -121,7 +122,7 @@ class LatticePlan:
         per_lag = np.empty((len(ind_a), len(self._slices)), dtype=np.int64)
         for k, (disp, base) in enumerate(self._slices):
             both = grid_a[(Ellipsis, *disp)] & grid_b[(Ellipsis, *base)]
-            per_lag[:, k] = [np.count_nonzero(grid) for grid in both]
+            per_lag[:, k] = np.count_nonzero(both, axis=tuple(range(1, both.ndim)))
         hits = self._pool(per_lag)
         rate_a = np.count_nonzero(ind_a, axis=1) / ind_a.shape[1]
         return hits, (hits / self.pair_count) / rate_a[:, None]

@@ -30,7 +30,7 @@ from extremogram import (
     write_field,
     write_space_time,
 )
-from extremogram import cli, errors
+from extremogram import cli, errors, fields
 from extremogram.cli import _build_parser, _snap_distance, main
 
 
@@ -247,6 +247,18 @@ def test_no_lags_is_json_exit_1(tmp_path, capsys):
             assert payload["error"] == "ValueError" and "no lags" in payload["message"]
 
 
+def test_a_poisson_point_field_keeps_its_intensity_and_is_refused_by_lattice_mode(
+        tmp_path, capsys):
+    pts, out = str(tmp_path / "pts.csv"), tmp_path / "o.csv"
+    code, _, _ = run(capsys, "simulate", "--model", "point-field", "--region", "0,10,0,10",
+                     "--intensity", "0.8", "--seed", "1", "--out", pts)
+    assert code == 0 and read_field(pts).intensity_hint == 0.8
+    code, _, err = run(capsys, "estimate", "--input", pts, "--mode", "lattice",
+                       "--threshold", "q=0.9", "--lags", "1", "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert json.loads(err)["error"] == "DataFormatError"
+
+
 def test_bands_rejects_too_few_permutations(tmp_path, capsys):
     src = str(tmp_path / "field.csv")
     run(capsys, "simulate", "--model", "frechet", "--dims", "10,10",
@@ -402,6 +414,16 @@ def test_rate_check_refuses_repeated_sizes_and_several_ref_lags(capsys, flags, e
     assert json.loads(err)["error"] == error
 
 
+def test_rate_check_reads_one_ref_lag_vector_as_its_components(capsys):
+    argv = ["rate-check", "--model", "frechet", "--sizes", "10,20", "--reps", "10",
+            "--seed", "0", "--threshold", "q=0.9"]
+    vector, components = (run(capsys, *argv, "--ref-lag", ref) for ref in ("1,0;", "1,0"))
+    assert vector[0] == components[0] == 0
+    assert vector[1] == components[1] and vector[1].startswith("size,mean,variance")
+    code, out, err = run(capsys, *argv, "--ref-lag", "1,0;0,1")
+    assert code == 1 and out == "" and "--ref-lag" in json.loads(err)["message"]
+
+
 EXIT_CODES = {
     "DegenerateThreshold": 3, "DegenerateDenominator": 3, "FactorizationFailure": 3,
     "DataFormatError": 2, "EmptyInput": 2, "EmptyField": 2, "NonDivisibleBlock": 2,
@@ -553,6 +575,26 @@ def test_an_unbounded_lag_or_weight_radius_is_refused_in_one_json_line(
     assert "finite" in payload["message"]
     if "--weights" in argv:
         assert payload["error"] == "UsageError" and "--weights" in payload["message"]
+    assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+
+_PAST_THE_GRID = [[*argv, *by] for argv in _BALL_CMDS for by in ([], ["--by-distance"])]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_GRID, ids=[" ".join(argv) for argv in _PAST_THE_GRID])
+def test_a_max_distance_past_the_grid_is_refused_before_lags_are_listed(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_field("f.csv", sim_frechet_iid((20, 20), 1))
+
+    def unlisted(*args):
+        raise AssertionError("the lag ball was built")
+
+    monkeypatch.setattr(fields, "_lattice_ball", unlisted)
+    code, out, err = run(capsys, *argv, "--lags", "100000")
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "LagOutOfRange"
     assert sorted(os.listdir(tmp_path)) == ["f.csv"]
 
 

@@ -1,4 +1,5 @@
 """Lattice estimator: exactness against a double loop, plus invariances."""
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from extremogram import (
     sim_mma,
     WeightSpec,
 )
+from extremogram import fields
 from extremogram.lattice import LatticePlan
 
 RAY = ExtremeSet.ray(1.0)
@@ -230,11 +232,8 @@ def test_by_distance_representative_lags_have_right_norm():
         assert lag.norm == pytest.approx(dist, abs=1e-12)
 
 
-@st.composite
-def lattice_cases(draw):
-    """A small 1-3 d grid of random values, a pair of sets, a rule and lags."""
-    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    field = random_field(dims, draw(st.integers(0, 2**16)))
+def draw_sets_and_rule(draw):
+    """A random pair of extreme sets and a threshold rule."""
     sets = [
         ExtremeSet(draw(st.sampled_from([0.5, 1.0, 1.5])),
                    draw(st.sampled_from([math.inf, 2.0, 4.0])))
@@ -244,23 +243,41 @@ def lattice_cases(draw):
         st.floats(0.3, 0.95).map(ThresholdRule.quantile),
         st.floats(1.0, 6.0).map(ThresholdRule.absolute),
     ))
+    return *sets, rule
+
+
+@st.composite
+def lattice_cases(draw):
+    """A small 1-3 d grid of random values, a pair of sets, a rule and lags."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    field = random_field(dims, draw(st.integers(0, 2**16)))
+    set_a, set_b, rule = draw_sets_and_rule(draw)
     lag = st.tuples(*[st.integers(-(n - 1), n - 1) for n in dims]).map(Lag)
-    return field, *sets, rule, draw(st.lists(lag, min_size=1, max_size=4))
+    return field, set_a, set_b, rule, draw(st.lists(lag, min_size=1, max_size=4))
+
+
+def estimable(field, set_a, set_b, rule, estimate):
+    """Whether ``estimate()`` has a finite answer; when it has none, check that
+    it raises the degeneracy the threshold or the A set shows."""
+    try:
+        a_m, _ = resolve_threshold(field.values, rule)
+    except DegenerateThreshold:
+        with pytest.raises(DegenerateThreshold):
+            estimate()
+        return False
+    if not np.any(set_a.indicator(field.values, a_m)):
+        with pytest.raises(DegenerateDenominator):
+            estimate()
+        return False
+    return True
 
 
 @given(lattice_cases())
 @settings(max_examples=80, deadline=None)
 def test_lattice_ese_equals_double_loop_property(case):
     field, set_a, set_b, rule, lags = case
-    try:
-        a_m, _ = resolve_threshold(field.values, rule)
-    except DegenerateThreshold:
-        with pytest.raises(DegenerateThreshold):
-            lattice_ese(field, set_a, set_b, rule, lags)
-        return
-    if not np.any(set_a.indicator(field.values, a_m)):
-        with pytest.raises(DegenerateDenominator):
-            lattice_ese(field, set_a, set_b, rule, lags)
+    if not estimable(field, set_a, set_b, rule,
+                     lambda: lattice_ese(field, set_a, set_b, rule, lags)):
         return
     res = lattice_ese(field, set_a, set_b, rule, lags)
     for i, lag in enumerate(lags):
@@ -278,3 +295,76 @@ def test_a_plan_built_for_another_grid_is_refused():
     with pytest.raises(ValueError, match="grid"):
         lattice_ese_by_distance(field, RAY, RAY, rule, 2.0,
                                 plan=LatticePlan((50, 40), 2.0, by_distance=True))
+
+
+@st.composite
+def by_distance_cases(draw):
+    """A 1-3 d grid with sides of at least 2, a max distance below its
+    shortest side, a pair of sets and a rule."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+    field = random_field(dims, draw(st.integers(0, 2**16)))
+    max_dist = draw(st.floats(1.0, min(dims), exclude_max=True))
+    return field, max_dist, *draw_sets_and_rule(draw)
+
+
+def pooled_double_loop(field, set_a, set_b, a_m, lags):
+    """Hits and pairs summed over ``lags`` by a literal double loop over base
+    sites t, pairing (t + h, t)."""
+    in_a = set_a.indicator(field.values, a_m).reshape(field.dims)
+    in_b = set_b.indicator(field.values, a_m).reshape(field.dims)
+    hits = pairs = 0
+    for off in lags:
+        for t in np.ndindex(*field.dims):
+            s = tuple(ti + o for ti, o in zip(t, off))
+            if all(0 <= si < n for si, n in zip(s, field.dims)):
+                pairs += 1
+                hits += bool(in_a[s] and in_b[t])
+    return hits, pairs
+
+
+@given(by_distance_cases())
+@settings(max_examples=60, deadline=None)
+def test_lattice_ese_by_distance_equals_pooled_double_loop_property(case):
+    field, max_dist, set_a, set_b, rule = case
+    d, reach = field.d, int(max_dist)
+    # every integer offset in the ball, grouped into classes by squared norm
+    classes = {}
+    for off in itertools.product(range(-reach, reach + 1), repeat=d):
+        nsq = sum(o * o for o in off)
+        if 0 < nsq <= max_dist * max_dist:
+            classes.setdefault(nsq, []).append(off)
+    keys = [(lag.norm_sq, lag.offset) for lag in lag_grid(max_dist, d)]
+    assert keys == sorted((float(k), tuple(map(float, off)))
+                          for k, offs in classes.items() for off in offs)
+    if not estimable(field, set_a, set_b, rule,
+                     lambda: lattice_ese_by_distance(field, set_a, set_b, rule, max_dist)):
+        return
+    res = lattice_ese_by_distance(field, set_a, set_b, rule, max_dist)
+    assert len(res.lags) == len(classes)
+    a_m, _ = resolve_threshold(field.values, rule)
+    rate = float(np.mean(set_a.indicator(field.values, a_m)))
+    for i, nsq in enumerate(sorted(classes)):
+        hits, pairs = pooled_double_loop(field, set_a, set_b, a_m, classes[nsq])
+        assert (res.exceed_count[i], res.pair_count[i]) == (hits, pairs)
+        assert res.rho_hat[i] == (hits / pairs) / rate
+        assert res.lags[i].offset == tuple(map(float, max(classes[nsq])))
+        assert res.distances[i] == math.sqrt(nsq)
+
+
+_GRIDS = (((20, 20), 19.99), ((9,), 8.5), ((4, 9, 6), 3.9))  # dims, a max distance below
+
+
+def test_a_max_distance_reaching_the_shortest_side_is_refused_before_lags_are_listed(
+        monkeypatch):
+    for dims, below in _GRIDS:
+        assert LatticePlan(dims, below, by_distance=True).lags
+
+    def unlisted(*args):
+        raise AssertionError("the lag ball was built")
+
+    monkeypatch.setattr(fields, "_lattice_ball", unlisted)
+    for dims, _ in _GRIDS:
+        with pytest.raises(LagOutOfRange):
+            LatticePlan(dims, min(dims), by_distance=True)
+    with pytest.raises(LagOutOfRange, match="max distance 100000"):
+        LatticePlan((20, 20), 1e5, by_distance=True)

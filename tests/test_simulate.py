@@ -17,6 +17,7 @@ from extremogram import (
     CountRule,
     EstimatorConfig,
     ExtremeSet,
+    FactorizationFailure,
     FieldSource,
     FrechetModel,
     Lag,
@@ -470,6 +471,12 @@ def test_plan_factors_equal_the_full_matrix_formulas(sites, vario):
     gaussian_max = _psd_factor(1.0 / (1.0 + vario.delta(d_n * dist)))
     assert np.array_equal(BrPlan(sites, vario, BrSimConfig.gaussian_max(300)).factor,
                           gaussian_max)
+
+
+def test_an_indefinite_covariance_is_refused_with_its_min_eigenvalue():
+    # eigenvalues 3 and -1: Cholesky fails and eigh finds a negative one
+    with pytest.raises(FactorizationFailure, match=r"min eigenvalue -1\.000e\+00"):
+        _psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_plan_arrays_refuse_writes_and_draws_are_unchanged():
