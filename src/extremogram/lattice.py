@@ -122,7 +122,8 @@ class LatticePlan:
         per_lag = np.empty((len(ind_a), len(self._slices)), dtype=np.int64)
         for k, (disp, base) in enumerate(self._slices):
             both = grid_a[(Ellipsis, *disp)] & grid_b[(Ellipsis, *base)]
-            per_lag[:, k] = np.count_nonzero(both, axis=tuple(range(1, both.ndim)))
+            # row by row: with an axis, count_nonzero sums through a slower cast
+            per_lag[:, k] = [np.count_nonzero(grid) for grid in both]
         hits = self._pool(per_lag)
         rate_a = np.count_nonzero(ind_a, axis=1) / ind_a.shape[1]
         return hits, (hits / self.pair_count) / rate_a[:, None]

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .errors import FactorizationFailure
 from .fields import (LatticeField, PointField, _frozen, _lattice_ball, _sealed, derive_rng,
@@ -63,6 +64,8 @@ _TIE_MARGIN = 1e-10
 _JITTER = 1e-10  # added to a covariance diagonal before it is factored
 _TAIL_TOL = 1e-12  # geometric weights: tail mass left beyond the truncation
 _BLOCK_BYTES = 1 << 19  # largest block of rows that _pairwise fills at once
+_DRAW_BLOCK_BYTES = 1 << 21  # target size of a block of Gaussian rows in a gaussian-max draw
+_DRAW_ROW_ALIGN = 48  # those blocks start at multiples of this many rows
 
 # shell-count bounds #{s in Z^d : j <= |s| < j+1} <= c_d * (j+1)^(d-1),
 # used by the geometric truncation rule below
@@ -469,28 +472,26 @@ def _pairwise(sites: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _increment_cov(sites: np.ndarray, vario: VariogramSpec):
-    """Lower triangle of the covariance of origin-pinned increments (see
-    :func:`_pairwise`), plus delta(site) and the origin mask, read-only."""
-    norms = np.linalg.norm(sites, axis=1)
-    d_site = vario.delta(norms)
-    cov = _pairwise(
-        sites, lambda dist, rows, cols: d_site[rows, None] + d_site[None, cols] - vario.delta(dist)
-    )
-    return cov, _sealed(d_site), _sealed(norms == 0.0)
-
-
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
+def _psd_factor(build) -> np.ndarray:
     """Dense factor F with F F^T ~= cov + jitter*I; Cholesky, then eigen fallback.
 
-    Reads only the lower triangle of the symmetric ``cov``, and adds the
-    jitter to its diagonal in place.
+    ``build()`` returns a fresh symmetric (n, n) ``cov``, of which only the
+    lower triangle is read.  The jitter is added to its diagonal and the
+    array is factored in place, by the Cholesky gufunc behind
+    ``np.linalg.cholesky`` under the same floating-point-flag test of
+    failure, so F has the same bits with no second (n, n) output.  A failed
+    Cholesky leaves the array filled with NaN: it is released and the eigen
+    fallback factors a second ``build()``.
     """
+    cov = build()
     cov[np.diag_indices_from(cov)] += _JITTER
     try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _cholesky_lo(cov, out=cov, signature="d->d")
+    except FloatingPointError:
+        del cov  # all NaN now: released before the second build
+    cov = build()
+    cov[np.diag_indices_from(cov)] += _JITTER
     eigvals, eigvecs = np.linalg.eigh(cov, UPLO="L")
     tol = 1e-8 * max(1.0, float(np.abs(cov.diagonal()).max()))
     if eigvals.min() < -tol:
@@ -506,9 +507,11 @@ class BrPlan:
     Holds a read-only copy of the sites and the dense factor F, with
     ``F F^T ~= cov + jitter*I``, of the Gaussian covariance that
     ``config``'s method draws from.  For spectral that is the
-    origin-pinned increment covariance, and the plan also holds delta
-    at each site and the origin mask; for gaussian_max it is the
-    correlation ``1 / (1 + delta(d_N*|h|))``.  Every array it holds is
+    origin-pinned increment covariance ``delta(s1) + delta(s2) -
+    delta(s1 - s2)``, and the plan also holds delta at each site and the
+    origin mask; for gaussian_max it is the correlation ``1 / (1 +
+    delta(d_N*|h|))``.  The covariance is factored in the array it is
+    built in (see :func:`_psd_factor`).  Every array it holds is
     read-only.  Building a plan factors the covariance, so it raises
     FactorizationFailure where a draw would.
     """
@@ -521,13 +524,18 @@ class BrPlan:
         self.config = config
         self.d_site = self.at_origin = None
         if config.method == "spectral":
-            cov, self.d_site, self.at_origin = _increment_cov(self.sites, vario)
+            norms = np.linalg.norm(self.sites, axis=1)
+            d_site = vario.delta(norms)
+            self.d_site, self.at_origin = _sealed(d_site), _sealed(norms == 0.0)
+
+            def fill(dist, rows, cols):
+                return d_site[rows, None] + d_site[None, cols] - vario.delta(dist)
         else:
             d_n = (1.0 / math.log(config.n_gaussians)) ** (1.0 / vario.alpha)
-            cov = _pairwise(
-                self.sites, lambda dist, rows, cols: 1.0 / (1.0 + vario.delta(d_n * dist))
-            )
-        self.factor = _sealed(_psd_factor(cov))
+
+            def fill(dist, rows, cols):
+                return 1.0 / (1.0 + vario.delta(d_n * dist))
+        self.factor = _sealed(_psd_factor(lambda: _pairwise(self.sites, fill)))
 
 
 def _draw_increments(plan: BrPlan, rng: np.random.Generator, n_draws: int) -> np.ndarray:
@@ -606,6 +614,19 @@ def _phi_to_frechet(phi):
 def _sim_br_gaussian_max(plan, rng):
     """Max over N correlated Gaussians per site, Frechet-transformed, over N.
 
+    The Gaussians ``F @ normals`` are formed one block of rows at a time in
+    one reused buffer, so a draw holds the factor, the normals and one
+    block.  A block is ``_DRAW_BLOCK_BYTES`` of rows rounded down to a
+    multiple of ``_DRAW_ROW_ALIGN`` (at least one multiple), and the last
+    block also takes the rows left over, so a product within the budget is
+    one block.  GEMM kernels treat the last few rows of a call apart;
+    aligned blocks keep each row on the path it takes in the full product,
+    so the Gaussians have its bits under a single-threaded BLAS.  A
+    threaded OpenBLAS splits each call at points that depend on its shape,
+    so there blocks can round some entries differently when N is not a
+    multiple of 8, as the full product itself does between thread counts.
+    Each block packs the normals again, at some cost in time.
+
     The transform runs on each row's max alone.  That equals the max of the
     transformed row because the transform is monotone: ``min``, ``log`` and
     ``-1/x`` are, and ``_ndtr`` is between arguments more than
@@ -613,19 +634,27 @@ def _sim_br_gaussian_max(plan, rng):
     with a second entry within ``_TIE_MARGIN`` of its max is transformed
     whole before its max is taken.
     """
-    n_rep = plan.config.n_gaussians
-    gauss = plan.factor @ rng.standard_normal((len(plan.sites), n_rep))
-    top = gauss.max(axis=1)
-    phi_top = np.array([_ndtr(v) for v in top.tolist()])
-    values = _phi_to_frechet(phi_top)
-    near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
-    for k in np.flatnonzero(near):
-        values[k] = _phi_to_frechet(np.array([_ndtr(v) for v in gauss[k].tolist()])).max()
+    n_sites, n_rep = len(plan.sites), plan.config.n_gaussians
+    normals = rng.standard_normal((n_sites, n_rep))
+    step = max(1, _DRAW_BLOCK_BYTES // (8 * n_rep * _DRAW_ROW_ALIGN)) * _DRAW_ROW_ALIGN
+    bounds = (0, *range(step, n_sites - step + 1, step), n_sites)
+    rows = np.empty((bounds[-1] - bounds[-2], n_rep))  # the last block is the largest
+    phi_top, values = np.empty(n_sites), np.empty(n_sites)
+    for start, stop in zip(bounds, bounds[1:]):
+        gauss = np.matmul(plan.factor[start:stop], normals, out=rows[: stop - start])
+        top = gauss.max(axis=1)
+        phi_top[start:stop] = [_ndtr(v) for v in top.tolist()]
+        values[start:stop] = _phi_to_frechet(phi_top[start:stop])
+        near = np.count_nonzero(gauss >= (top - _TIE_MARGIN)[:, None], axis=1) > 1
+        for k in np.flatnonzero(near):
+            values[start + k] = _phi_to_frechet(
+                np.array([_ndtr(v) for v in gauss[k].tolist()])
+            ).max()
     return BrSimResult(
         values=values / n_rep,
         truncation_fraction=None,
         method="gaussian_max",
-        clip_fraction=float(np.mean(phi_top >= _PHI_CLIP)) if len(plan.sites) else 0.0,
+        clip_fraction=float(np.mean(phi_top >= _PHI_CLIP)) if n_sites else 0.0,
     )
 
 

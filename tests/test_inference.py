@@ -472,7 +472,7 @@ def test_br_model_refuses_a_spacing_that_is_not_finite_and_positive(spacing):
 
 
 def test_a_br_model_that_cannot_factor_fails_every_replicate(monkeypatch):
-    def indefinite(cov):
+    def indefinite(build):
         raise FactorizationFailure("covariance is not PSD within tolerance")
 
     monkeypatch.setattr(simulate, "_psd_factor", indefinite)

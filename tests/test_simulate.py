@@ -1,6 +1,11 @@
 """Simulator laws: margins, determinism, weight handling."""
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -39,6 +44,8 @@ from extremogram.fields import derive_rng
 from extremogram.inference import centered_grid_sites
 from extremogram.simulate import (
     _BLOCK_BYTES,
+    _DRAW_ROW_ALIGN,
+    _JITTER,
     _PHI_CLIP,
     _TIE_MARGIN,
     _frechet,
@@ -364,7 +371,7 @@ def _gaussian_max_reference(sites, vario, config, rng):
     """Transform every Gaussian to Frechet, then take each site's max."""
     n_rep = config.n_gaussians
     d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
-    factor = _psd_factor(1.0 / (1.0 + vario.delta(d_n * _broadcast_norm(sites))))
+    factor = _psd_factor(lambda: 1.0 / (1.0 + vario.delta(d_n * _broadcast_norm(sites))))
     gauss = factor @ rng.standard_normal((len(sites), n_rep))
     with np.errstate(divide="ignore"):
         frechet = -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
@@ -402,7 +409,7 @@ def test_gaussian_max_transforms_a_near_tie_row_whole():
         rows = np.array([[x, np.nextafter(x, np.inf), -1.0]])
         config = BrSimConfig.gaussian_max(rows.shape[1])
         expected = _gaussian_max_reference(site, vario, config, _FixedNormals(rows))
-        gauss = _psd_factor(np.ones((1, 1))) @ rows
+        gauss = _psd_factor(lambda: np.ones((1, 1))) @ rows
         shortcut = -1.0 / np.log(np.minimum(ndtr(gauss.max()), _PHI_CLIP)) / rows.shape[1]
         if shortcut != expected[0]:
             break
@@ -420,6 +427,89 @@ def test_ndtr_is_monotone_across_the_tie_margin():
     for gap in (_TIE_MARGIN, 3 * _TIE_MARGIN, 1e3 * _TIE_MARGIN):
         assert np.all(ndtr(x + gap) >= ndtr(x)), gap
         assert all(_ndtr(v + gap) >= _ndtr(v) for v in x[:20_000].tolist()), gap
+
+
+def _unblocked_reference(sites, vario, config, normals):
+    """np.linalg.cholesky's factor times all the normals in one product,
+    every Gaussian transformed to Frechet, then each site's max."""
+    n_rep = config.n_gaussians
+    d_n = (1.0 / math.log(n_rep)) ** (1.0 / vario.alpha)
+    cov = 1.0 / (1.0 + vario.delta(d_n * _broadcast_norm(sites)))
+    cov[np.diag_indices_from(cov)] += _JITTER
+    gauss = np.linalg.cholesky(cov) @ normals
+    with np.errstate(divide="ignore"):
+        frechet = -1.0 / np.log(np.minimum(ndtr(gauss), _PHI_CLIP))
+    return frechet.max(axis=1) / n_rep
+
+
+def _row_block_mismatches(shapes):
+    """(sites, gaussians, rows) of the draws in blocks of ``rows`` rows that
+    differ from the unblocked reference.  Each n is a multiple of 48 rows
+    plus one, so the blocks cross two or more boundaries and a last row is
+    left over; 95 rows round down to blocks of 48, and ``rows = n`` is one
+    block."""
+    vario = VariogramSpec(1.0, 2.0)
+    bad = []
+    for n, n_rep in shapes:
+        sites = np.random.default_rng(n).uniform(0.0, 40.0, (n, 2))
+        config = BrSimConfig.gaussian_max(n_rep)
+        # shifted far below 0, where Phi keeps every ULP of a Gaussian
+        normals = derive_rng(n_rep).standard_normal((n, n_rep)) - 8.0
+        expected = _unblocked_reference(sites, vario, config, normals)
+        plan = BrPlan(sites, vario, config)
+        for rows in (_DRAW_ROW_ALIGN, 2 * _DRAW_ROW_ALIGN - 1, 2 * _DRAW_ROW_ALIGN, n):
+            with patch.object(simulate, "_DRAW_BLOCK_BYTES", 8 * n_rep * rows):
+                got = _sim_br_gaussian_max(plan, _FixedNormals(normals)).values
+            if not np.array_equal(got, expected):
+                bad.append((n, n_rep, rows))
+    return bad
+
+
+def test_gaussian_max_row_blocks_equal_the_unblocked_draw():
+    # 200 Gaussians, a multiple of 8: with any number of BLAS threads the
+    # blocks then round as the full product does.  Every block has more
+    # than 1e6 multiply-adds, as at the real budget, where OpenBLAS does
+    # not switch to its small-matrix kernel
+    assert _row_block_mismatches([(145, 200), (289, 200)]) == []
+
+
+def test_gaussian_max_row_blocks_equal_the_unblocked_draw_on_one_blas_thread():
+    # any number of Gaussians, with OpenBLAS held to one thread before numpy
+    # loads.  At 1969 sites there are 20 blocks or more, enough that blocks
+    # of 95 rows, not rounded down to 48, change a site's value
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import test_simulate as t; "
+             "print(t._row_block_mismatches([(145, 283), (289, 439), (1969, 283)]))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(Path(simulate.__file__).resolve().parents[1]),
+                           os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", probe, str(Path(__file__).parent)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_gaussian_max_plan_and_draw_hold_two_n_by_n_arrays():
+    # the plan factors the covariance it built; the draw holds the normals
+    # and one block of rows, not the whole product (numpy's own copy inside
+    # the Cholesky is not traced)
+    n = 600
+    sites = np.random.default_rng(0).uniform(0.0, 40.0, (n, 2))
+    vario, config = VariogramSpec(1.0, 2.0), BrSimConfig.gaussian_max(n)
+    square = 8 * n * n
+    tracemalloc.start()
+    try:
+        plan = BrPlan(sites, vario, config)
+        _, plan_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        with patch.object(simulate, "_DRAW_BLOCK_BYTES", 8 * n * _DRAW_ROW_ALIGN):
+            sim_brown_resnick(sites, vario, config, seed=0, plan=plan)
+        _, draw_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan_peak < 1.75 * square, plan_peak / square
+    assert draw_peak - held < 1.25 * square, (draw_peak - held) / square
 
 
 _coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -465,10 +555,10 @@ _FACTOR_SITES = [
 def test_plan_factors_equal_the_full_matrix_formulas(sites, vario):
     dist = _broadcast_norm(sites)
     d_site = vario.delta(np.linalg.norm(sites, axis=1))
-    spectral = _psd_factor(d_site[:, None] + d_site[None, :] - vario.delta(dist))
+    spectral = _psd_factor(lambda: d_site[:, None] + d_site[None, :] - vario.delta(dist))
     assert np.array_equal(BrPlan(sites, vario, BrSimConfig.spectral(200)).factor, spectral)
     d_n = (1.0 / math.log(300)) ** (1.0 / vario.alpha)
-    gaussian_max = _psd_factor(1.0 / (1.0 + vario.delta(d_n * dist)))
+    gaussian_max = _psd_factor(lambda: 1.0 / (1.0 + vario.delta(d_n * dist)))
     assert np.array_equal(BrPlan(sites, vario, BrSimConfig.gaussian_max(300)).factor,
                           gaussian_max)
 
@@ -476,7 +566,39 @@ def test_plan_factors_equal_the_full_matrix_formulas(sites, vario):
 def test_an_indefinite_covariance_is_refused_with_its_min_eigenvalue():
     # eigenvalues 3 and -1: Cholesky fails and eigh finds a negative one
     with pytest.raises(FactorizationFailure, match=r"min eigenvalue -1\.000e\+00"):
-        _psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _psd_factor(lambda: np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("sites", _FACTOR_SITES)
+@pytest.mark.parametrize("method", ["spectral", "gaussian_max"])
+def test_plan_factors_the_covariance_in_the_array_it_built(sites, method, monkeypatch):
+    vario = VariogramSpec(0.5, 2.0)
+    built = []
+
+    def recording(*args):
+        built.append(_pairwise(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "_pairwise", recording)
+    dist = _broadcast_norm(sites)
+    if method == "spectral":
+        plan = BrPlan(sites, vario, BrSimConfig.spectral(200))
+        d_site = vario.delta(np.linalg.norm(sites, axis=1))
+        cov = d_site[:, None] + d_site[None, :] - vario.delta(dist)
+    else:
+        plan = BrPlan(sites, vario, BrSimConfig.gaussian_max(300))
+        cov = 1.0 / (1.0 + vario.delta((1.0 / math.log(300)) ** 0.5 * dist))
+    cov[np.diag_indices_from(cov)] += _JITTER
+    if sites is _FACTOR_SITES[2] and method == "spectral":
+        # Cholesky fails on this rank-2 covariance: a second build goes to eigh
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        eigvals, eigvecs = np.linalg.eigh(cov, UPLO="L")
+        assert np.array_equal(plan.factor, eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
+        assert len(built) == 2
+    else:
+        assert np.array_equal(plan.factor, np.linalg.cholesky(cov))
+        assert len(built) == 1 and np.shares_memory(plan.factor, built[0])
 
 
 def test_plan_arrays_refuse_writes_and_draws_are_unchanged():

@@ -5,7 +5,9 @@ through a numpy cell grid, and the gaussian-max Brown-Resnick simulator
 and the Brown-Resnick oracles compute the normal CDF with their own port
 of cephes' ``ndtr``.  pytest has imported scipy already, so the probe
 runs in its own process, with an import hook that refuses ``scipy`` and
-every submodule of it.
+every submodule of it.  A scan of the sources also holds the package to
+numpy's public modules, but for the Cholesky gufunc that factors a
+Brown-Resnick covariance in place.
 """
 import ast
 import json
@@ -97,24 +99,41 @@ def test_numpy_only_commands_do_not_import_scipy(tmp_path):
     assert len(report["ran"]) == 15 and report["scipy"] == []
 
 
-def _scipy_imports(source: str) -> list[int]:
-    """Lines of ``source`` that import scipy or a submodule of it, at any depth."""
-    lines = []
+def _imports(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import in ``source``, at any depth:
+    ``import a.b``, ``from a.b import c`` (as ``a.b.c``), ``__import__("a")``
+    and ``importlib.import_module("a")``.  Relative imports are left out."""
+    found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
-            # __import__("scipy...") and importlib.import_module("scipy...")
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             names = [node.args[0].value] if called in ("__import__", "import_module") else []
         else:
             continue
-        if any(isinstance(n, str) and n.split(".")[0] == "scipy" for n in names):
-            lines.append(node.lineno)
-    return sorted(lines)
+        found += [(node.lineno, name) for name in names if isinstance(name, str)]
+    return sorted(found)
+
+
+def _scipy_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import scipy or a submodule of it, at any depth."""
+    return sorted({line for line, name in _imports(source) if name.split(".")[0] == "scipy"})
+
+
+def _private_numpy_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each import in ``source`` that reaches a private
+    numpy module: the dotted name up to its first ``_`` part after numpy."""
+    found = []
+    for line, name in _imports(source):
+        parts = name.split(".")
+        private = [i for i, part in enumerate(parts) if i and part.startswith("_")]
+        if parts[0] == "numpy" and private:
+            found.append((line, ".".join(parts[:private[0] + 1])))
+    return found
 
 
 def test_no_module_of_the_package_imports_scipy():
@@ -130,3 +149,23 @@ def test_no_module_of_the_package_imports_scipy():
         "importlib.import_module('scipy.spatial')\n__import__('scipy')\n"
         "from . import scipy_like\nimport scipyish\n"
     ) == [1, 3, 6, 7, 8]
+
+
+def test_no_module_of_the_package_imports_a_private_numpy_module():
+    # simulate.py alone reaches the gufunc behind np.linalg.cholesky, which
+    # can write the factor into the covariance it reads
+    modules = sorted(Path(extremogram.__file__).resolve().parent.rglob("*.py"))
+    found = {path.name: _private_numpy_imports(path.read_text()) for path in modules}
+    assert {name: [module for _, module in hits] for name, hits in found.items() if hits} == {
+        "simulate.py": ["numpy.linalg._umath_linalg"]
+    }
+    assert _private_numpy_imports(
+        "import numpy as np, numpy.linalg\n"
+        "from numpy.linalg._umath_linalg import cholesky_lo\n"
+        "def f():\n    from numpy._core import multiarray\n"
+        "import numpy.linalg._linalg\n"
+        "class C:\n    def g(self):\n        from numpy.linalg import _umath_linalg\n"
+        "importlib.import_module('numpy._core._exceptions')\n__import__('numpy._utils')\n"
+        "from numpy.random import default_rng\nimport _numpy_like\nfrom . import _private\n"
+    ) == [(2, "numpy.linalg._umath_linalg"), (4, "numpy._core"), (5, "numpy.linalg._linalg"),
+          (8, "numpy.linalg._umath_linalg"), (9, "numpy._core"), (10, "numpy._utils")]
