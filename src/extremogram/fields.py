@@ -391,12 +391,25 @@ def lag_grid(max_dist: float, d: int) -> list[Lag]:
     return sorted(lags, key=lambda lag: (lag.norm_sq, lag.offset))
 
 
+# the most offsets a ball's box may hold: 10^7 int64 offsets in 3-d take
+# 240 MB, and a 3-d geometric(0.5) support needs 1.6M of them
+_MAX_BALL_BOX = 10**7
+
+
 def _lattice_ball(radius: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets (K, d) with ``|s| <= radius``, in lexicographic order, and their |s|^2."""
+    """Integer offsets (K, d) with ``|s| <= radius``, in lexicographic order, and their |s|^2.
+
+    A radius whose box of (2r+1)^d offsets exceeds ``_MAX_BALL_BOX`` is
+    refused before the box is built.
+    """
     if not 1 <= d <= 3:
         raise ValueError(f"d must be 1..3, got {d}")
     if not 0 <= radius < math.inf:
         raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
+    box = (2 * int(radius) + 1) ** d
+    if box > _MAX_BALL_BOX:
+        raise ValueError(f"a {d}-d ball of radius {radius:g} spans a box of {box:,} offsets, "
+                         f"more than the {_MAX_BALL_BOX:,} allowed")
     axis = np.arange(-int(radius), int(radius) + 1)
     offsets = np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
     norm_sq = (offsets * offsets).sum(axis=1)

@@ -15,12 +15,15 @@ a JSON sidecar with the threshold, denominator rate, and any band or
 run metadata.  Space-time cubes are long-format t,x,y,value with
 integer indices from zero.  Lattice and cube rows may come in any order,
 since each is placed by its index columns.  Every malformed row or token
-of a field, cube or estimate table fails hard, named by its line.  Every
+of a field, cube or estimate table fails hard, named by its line, and so
+does a line break other than LF, CRLF or CR.  Those tables are parsed
+by one streaming row reader, which holds no list of lines.  Every
 write is atomic: the text goes to a temporary file in the same
 directory, which then replaces the target.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -135,31 +138,32 @@ def _parse_header(line: str, path) -> dict:
 
 def read_field(path) -> LatticeField | PointField:
     """Read a field file written by :func:`write_field`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise DataFormatError(f"{path}: too short to be a field file")
-    meta = _parse_header(lines[0], path)
-    kind = meta["kind"]
-    if kind == "lattice":
-        dims = tuple(_header_value(path, meta, "dims", lambda v: (
-            isinstance(v, list) and 1 <= len(v) <= 3 and all(type(n) is int for n in v))))
-        if len(lines) - 2 != math.prod(dims):
-            raise DataFormatError(
-                f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {len(lines) - 2}"
-            )
-        rows = _read_rows(path, lines, 2, np.dtype([("i", np.int64, (len(dims),)), ("v", float)]))
-        return _checked(path, LatticeField, dims, _place(path, dims, rows["i"], rows["v"], 3))
-    if kind == "point":
-        # JSON numbers parse to int or float, never to their subclass bool
-        region = _header_value(path, meta, "region", lambda v: (
-            isinstance(v, list) and len(v) == 4 and all(type(c) in (int, float) for c in v)))
-        hint = _header_value(path, meta, "intensity_hint",
-                             lambda v: v is None or type(v) in (int, float))
-        rows = _read_rows(path, lines, 2, np.dtype([("xy", float, (2,)), ("v", float)]))
-        return _checked(path, PointField, rows["xy"], rows["v"], region,
-                        None if hint is None else float(hint))
-    raise DataFormatError(f"{path}: unknown field kind {kind!r}")
+    def layout(head, n_rows):
+        if len(head) < 2:
+            raise DataFormatError(f"{path}: too short to be a field file")
+        meta = _parse_header(head[0], path)
+        kind = meta["kind"]
+        if kind == "lattice":
+            dims = tuple(_header_value(path, meta, "dims", lambda v: (
+                isinstance(v, list) and 1 <= len(v) <= 3 and all(type(n) is int for n in v))))
+            if n_rows != math.prod(dims):
+                raise DataFormatError(
+                    f"{path}: expected {math.prod(dims)} rows for dims {dims}, got {n_rows}"
+                )
+            return (np.dtype([("i", np.int64, (len(dims),)), ("v", float)]), lambda rows:
+                    _checked(path, LatticeField, dims, _place(path, dims, rows["i"], rows["v"], 3)))
+        if kind == "point":
+            # JSON numbers parse to int or float, never to their subclass bool
+            region = _header_value(path, meta, "region", lambda v: (
+                isinstance(v, list) and len(v) == 4 and all(type(c) in (int, float) for c in v)))
+            hint = _header_value(path, meta, "intensity_hint",
+                                 lambda v: v is None or type(v) in (int, float))
+            return (np.dtype([("xy", float, (2,)), ("v", float)]), lambda rows:
+                    _checked(path, PointField, rows["xy"], rows["v"], region,
+                             None if hint is None else float(hint)))
+        raise DataFormatError(f"{path}: unknown field kind {kind!r}")
+
+    return _read_table(path, 2, layout)
 
 
 def _header_value(path, meta: dict, key: str, ok):
@@ -191,55 +195,97 @@ def _format_rows(columns) -> str:
     return (row * len(columns[0])).format(*cells)
 
 
-def _read_rows(path, lines, n_header: int, dtype: np.dtype) -> np.ndarray:
-    """``lines[n_header:]`` parsed as one record each of the structured ``dtype``.
+# the line breaks that str.splitlines knows besides \n; text mode has
+# already turned \r and \r\n into \n
+_ODD_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-    Its fields take the columns in order, a field of shape ``(k,)`` k of
-    them.  A blank row, a wrong column count, an integer cell that is
-    not ``[0-9-]`` only or a token that is not a number raises, naming
-    its line.
+
+def _read_table(path, n_header: int, layout, fill=None):
+    """The file at ``path`` as ``n_header`` header lines and body rows.
+
+    The one row reader of field, cube and estimate files.  It opens the
+    file once and reads its text once.  ``layout(head, n_rows)`` gets
+    the header lines (fewer in a shorter file) and the number of body
+    rows; it raises on a bad header and returns the structured dtype of
+    a row and a function from the parsed records to the result.  The
+    dtype's fields take the columns in order, a field of shape ``(k,)``
+    k of them.  Once the body text is checked it is released, and
+    ``np.loadtxt`` streams the rows from the same handle, each through
+    ``fill`` when given.  A line break other than LF, CRLF or CR, a
+    blank row, a wrong column count, an integer cell that is not
+    ``[0-9-]`` only or a token that is not a number raises, naming its
+    line.
     """
-    body = lines[n_header:]
-    kinds = "".join(dtype[name].base.kind * math.prod(dtype[name].shape) for name in dtype.names)
-    bad = _bad_int_row(lines, n_header, kinds)
-    if bad is None:
-        try:
-            return _parse_rows(body, dtype)
-        except ValueError:
-            # loadtxt numbers rows its own way; bisect for the first bad row
-            bad, hi = 0, len(body)
-            while hi - bad > 1:
-                mid = (bad + hi) // 2
-                try:
-                    _parse_rows(body[bad:mid], dtype)
-                    bad = mid
-                except ValueError:
-                    hi = mid
-    got = body[bad].count(",") + 1
+    with open(path) as fh:  # text mode reads \r and \r\n as \n
+        head = [fh.readline() for _ in range(n_header)]
+        start = fh.tell() if fh.seekable() else 0
+        text = fh.read()
+        # a pipe cannot seek back to its body, so it parses from a copy
+        body = fh if fh.seekable() else io.StringIO(text)
+        for before, part in ((0, "".join(head)), (n_header, text)):
+            # str.find, one break at a time, is a fast scan; a regex is not
+            at = min((i for i in map(part.find, _ODD_BREAKS) if i >= 0), default=None)
+            if at is not None:
+                lineno = before + part.count("\n", 0, at) + 1
+                raise DataFormatError(f"{path}: line {lineno}: line break U+{ord(part[at]):04X} "
+                                      "is refused; only \\n, \\r\\n and \\r end a line")
+        # a last row may lack its \n
+        n_rows = text.count("\n") + (text != "" and text[-1] != "\n")
+        dtype, build = layout([line.removesuffix("\n") for line in head if line], n_rows)
+
+        def parse(lines):
+            # comments=None: "1.5#junk" is not 1.5
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+        kinds = "".join(dtype[name].base.kind * math.prod(dtype[name].shape)
+                        for name in dtype.names)
+        bad = _bad_row(text, kinds) if n_rows else None
+        del text
+        body.seek(start)
+        rows = body if fill is None else map(fill, body)
+        if bad is None:
+            try:
+                # loadtxt warns on no rows
+                records = parse(rows) if n_rows else np.empty(0, dtype)
+            except ValueError:
+                # loadtxt numbers rows its own way; bisect for the first bad row
+                body.seek(start)
+                lines = list(rows)
+                bad, hi = 0, len(lines)
+                while hi - bad > 1:
+                    mid = (bad + hi) // 2
+                    try:
+                        parse(lines[bad:mid])
+                        bad = mid
+                    except ValueError:
+                        hi = mid
+            else:
+                return build(records)
+        body.seek(start)
+        got = next(itertools.islice(rows, bad, None)).count(",") + 1
     why = "bad index or value" if got == len(kinds) else f"expected {len(kinds)} columns, got {got}"
     raise DataFormatError(f"{path}: line {n_header + bad + 1}: {why}")
 
 
-def _parse_rows(rows, dtype) -> np.ndarray:
-    # loadtxt skips empty rows (of split lines, only "") and warns on no
-    # rows; neither may pass.  comments=None: "1.5#junk" is not 1.5
-    if "" in rows:
-        raise ValueError("blank row")
-    if not rows:
-        return np.empty(0, dtype)
-    return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+def _bad_row(text: str, kinds: str) -> int | None:
+    """The index of the first row of ``text`` that is blank or has an
+    integer cell that is not ``[0-9-]`` only, or None.
 
-
-def _bad_int_row(lines, n_header: int, kinds: str) -> int | None:
-    # [0-9-] only in integer cells: int() would also take spaces, '+', '_'
-    # and non-ASCII digits; the lookahead also fails on a blank row
-    if "i" not in kinds:
-        return None
-    cells = ["[0-9-]+" if kind == "i" else "[^,\n]*" for kind in kinds[: kinds.rindex("i") + 1]]
-    text = "\n".join(lines)
-    start = sum(map(len, lines[:n_header])) + n_header - 1
-    bad = re.compile(r"\n(?!%s(?![^,\n]))" % ",".join(cells)).search(text, start)
-    return None if bad is None else text.count("\n", start, bad.start())
+    int() would also take spaces, '+', '_' and non-ASCII digits, and
+    loadtxt skips a blank row without a word.
+    """
+    if "i" in kinds:
+        cells = ["[0-9-]+" if kind == "i" else "[^,\n]*" for kind in kinds[: kinds.rindex("i") + 1]]
+        row = ",".join(cells) + "(?![^,\n])"
+    else:
+        row = "[^\n]"
+    # the final \n ends the last row and starts no other
+    end = len(text) - text.endswith("\n")
+    if not re.compile(row).match(text, 0, end):
+        return 0
+    # a search led by a literal \n scans fast; one led by (?:^|\n) does not
+    bad = re.compile(r"\n(?!%s)" % row).search(text, 0, end)
+    return None if bad is None else text.count("\n", 0, bad.end())
 
 
 def _place(path, dims, idx: np.ndarray, values, first_line: int) -> np.ndarray:
@@ -255,8 +301,8 @@ def _place(path, dims, idx: np.ndarray, values, first_line: int) -> np.ndarray:
             f"{path}: line {row + first_line}: cell {tuple(idx[row].tolist())} is outside dims {dims}"
         )
     flat = np.ravel_multi_index(tuple(idx.T), dims)
-    _, first = np.unique(flat, return_index=True)
-    if len(first) != len(flat):
+    if np.bincount(flat).max(initial=0) > 1:
+        _, first = np.unique(flat, return_index=True)
         row = int(np.setdiff1d(np.arange(len(flat)), first)[0])
         raise DataFormatError(
             f"{path}: line {row + first_line}: duplicate cell {tuple(idx[row].tolist())}"
@@ -335,13 +381,12 @@ def read_ese(path) -> tuple[np.recarray, dict]:
     entry, so ``table.rho_hat`` is that column; band columns are NaN
     when absent.  The table is the caller's own, so it is writable.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or tuple(lines[0].split(",")) != ESE_COLUMNS:
-        raise DataFormatError(f"{path}: line 1: expected header {','.join(ESE_COLUMNS)}")
-    # a row without a band has both band cells empty
-    lines = [line[:-1] + "nan,nan" if line.endswith(",,") else line for line in lines]
-    rows = _read_rows(path, lines, 1, _ESE_DTYPE)
+    def layout(head, n_rows):
+        if not head or tuple(head[0].split(",")) != ESE_COLUMNS:
+            raise DataFormatError(f"{path}: line 1: expected header {','.join(ESE_COLUMNS)}")
+        return _ESE_DTYPE, lambda rows: rows.view(np.recarray)
+
+    table = _read_table(path, 1, layout, _fill_band)
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
@@ -350,7 +395,13 @@ def read_ese(path) -> tuple[np.recarray, dict]:
                 meta = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{side}: bad JSON sidecar ({exc})") from exc
-    return rows.view(np.recarray), meta
+    return table, meta
+
+
+def _fill_band(line: str) -> str:
+    # a row without a band has both band cells empty
+    row = line.removesuffix("\n")
+    return row[:-1] + "nan,nan\n" if row.endswith(",,") else line
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +421,14 @@ def read_space_time(path) -> SpaceTimeGrid:
     appear exactly once; values must be finite and nonnegative.  Any
     violation is a hard error naming the offending line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].replace(" ", "") != "t,x,y,value":
-        raise DataFormatError(f"{path}: line 1: expected header t,x,y,value")
-    if len(lines) == 1:
-        raise DataFormatError(f"{path}: no data rows")
-    rows = _read_rows(path, lines, 1, np.dtype([("i", np.int64, (3,)), ("v", float)]))
+    def layout(head, n_rows):
+        if not head or head[0].replace(" ", "") != "t,x,y,value":
+            raise DataFormatError(f"{path}: line 1: expected header t,x,y,value")
+        if not n_rows:
+            raise DataFormatError(f"{path}: no data rows")
+        return np.dtype([("i", np.int64, (3,)), ("v", float)]), lambda rows: rows
+
+    rows = _read_table(path, 1, layout)
     idx, values = rows["i"], rows["v"]
     negative = np.any(idx < 0, axis=1)
     if negative.any():

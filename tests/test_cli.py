@@ -27,6 +27,7 @@ from extremogram import (
     read_ese,
     read_field,
     sim_frechet_iid,
+    sim_point_field,
     write_field,
     write_space_time,
 )
@@ -596,6 +597,34 @@ def test_a_max_distance_past_the_grid_is_refused_before_lags_are_listed(
     lines = err.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "LagOutOfRange"
     assert sorted(os.listdir(tmp_path)) == ["f.csv"]
+
+
+_PAST_THE_BALL_BOUND = [
+    ["estimate", "--input", "p.csv", "--mode", "kernel", "--bandwidth", "1", "--threshold",
+     "q=0.9", "--lags", "100000", "--out", "o.csv"],
+    [*_SIMULATE, "--model", "mma", "--dims", "8,8", "--weights", "ball:100000"],
+]
+
+
+@pytest.mark.parametrize("argv", _PAST_THE_BALL_BOUND,
+                         ids=[" ".join(argv) for argv in _PAST_THE_BALL_BOUND])
+def test_a_ball_past_its_bound_is_refused_before_its_box_is_built(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_field("p.csv", sim_point_field((0, 8, 0, 8), CountRule.fixed(40),
+                                         FieldSource.frechet_iid(), seed=1))
+
+    def built(*args, **kwargs):
+        raise AssertionError("the ball's box was built")
+
+    monkeypatch.setattr(fields.np, "meshgrid", built)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ValueError" and "ball of radius 100000" in payload["message"]
+    assert sorted(os.listdir(tmp_path)) == ["p.csv"]
 
 
 def test_lag_grammar_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Container, set, lag, and threshold contracts."""
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,13 +22,15 @@ from extremogram import (
     SpaceTimeGrid,
     ThresholdRule,
     VariogramSpec,
+    WeightSpec,
     as_lag,
     derive_rng,
     derive_seed,
     lag_grid,
     resolve_threshold,
 )
-from extremogram.fields import _lattice_ball
+from extremogram import fields
+from extremogram.fields import _MAX_BALL_BOX, _lattice_ball
 
 
 def test_lattice_field_shape_and_freeze():
@@ -189,6 +192,33 @@ def test_lattice_ball_refuses_a_bad_radius_or_dimension(radius, d):
         _lattice_ball(radius, d)
     with pytest.raises(ValueError):
         lag_grid(radius, d)
+
+
+class _BoxBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d, inside, past", [(1, 4_999_999.5, 5_000_000), (2, 1580.9, 1581),
+                                             (3, 107.5, 108)])
+def test_lattice_ball_refuses_a_box_past_its_bound_before_building_it(monkeypatch, d, inside,
+                                                                       past):
+    def built(*args, **kwargs):
+        raise _BoxBuilt
+
+    monkeypatch.setattr(fields.np, "meshgrid", built)
+    assert (2 * int(inside) + 1) ** d <= _MAX_BALL_BOX < (2 * past + 1) ** d
+    with pytest.raises(_BoxBuilt):
+        _lattice_ball(inside, d)
+    with pytest.raises(ValueError, match=re.escape(f"a {d}-d ball of radius {past:g} spans a box "
+                                                   f"of {(2 * past + 1) ** d:,} offsets")):
+        _lattice_ball(past, d)
+    with pytest.raises(ValueError, match="more than the 10,000,000 allowed"):
+        lag_grid(past, d)
+
+
+def test_the_ball_bound_leaves_room_for_a_3d_geometric_half_support():
+    radius = WeightSpec.geometric(0.5).truncation(3)
+    assert 1_500_000 < (2 * int(radius) + 1) ** 3 <= _MAX_BALL_BOX
 
 
 def test_derive_rng_is_keyed_and_stable():

@@ -2,6 +2,9 @@
 import json
 import math
 import os
+import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -557,3 +560,151 @@ def test_unusable_field_values_are_data_errors(tmp_path, bad):
     pts.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="pts.csv"):
         read_field(pts)
+
+
+def test_a_cube_read_peaks_below_80_bytes_a_row(tmp_path):
+    # the body text is released before loadtxt streams the rows from the
+    # handle: no list of lines and no joined copy sit beside the records
+    p = tmp_path / "cube.csv"
+    write_space_time(p, SpaceTimeGrid(derive_rng(11).gamma(2.0, 1.0, size=(12, 60, 60))))
+    read_space_time(p)  # compiled patterns and numpy's parser are cached from here on
+    tracemalloc.start()
+    try:
+        grid = read_space_time(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (12, 60, 60)
+    assert peak <= 80 * 43_200, f"{peak / 43_200:.0f} B per row"
+
+
+def _ese_file(p, banded):
+    f = sim_frechet_iid((10, 10), seed=7)
+    lags = [Lag.of(1, 0), Lag.of(0, 1), Lag.of(2, 1)]
+    band = permutation_bands(f, RAY, RAY, Q90, EstimatorConfig(mode="lattice"), lags,
+                             n_perm=100, seed=0) if banded else None
+    write_ese(p, lattice_ese(f, RAY, RAY, Q90, lags), band=band)
+
+
+def _point_field(count=3):
+    return sim_point_field((0, 4, 0, 4), CountRule.fixed(count), FieldSource.frechet_iid(),
+                           seed=1)
+
+
+def _lattice_bits(p):
+    f = read_field(p)
+    return f.dims, f.values.tobytes()
+
+
+def _point_bits(p):
+    f = read_field(p)
+    return f.region, f.intensity_hint, f.locations.tobytes(), f.values.tobytes()
+
+
+def _cube_bits(p):
+    values = read_space_time(p).values
+    return values.shape, values.tobytes()
+
+
+# (write, the bits a read gives) per file kind
+_FILE_KINDS = {
+    "lattice": (lambda p: write_field(p, sim_frechet_iid((3, 4), seed=1)), _lattice_bits),
+    "point": (lambda p: write_field(p, _point_field(count=12)), _point_bits),
+    "cube": (lambda p: write_space_time(p, SpaceTimeGrid(derive_rng(3).gamma(2.0, 1.0, (2, 3, 4)))),
+             _cube_bits),
+    "ese": (lambda p: _ese_file(p, False), lambda p: read_ese(p)[0].tobytes()),
+    "banded ese": (lambda p: _ese_file(p, True), lambda p: read_ese(p)[0].tobytes()),
+}
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r", None], ids=["crlf", "cr", "no final newline"])
+@pytest.mark.parametrize("kind", list(_FILE_KINDS))
+def test_crlf_cr_and_unterminated_files_read_back_like_lf_files(tmp_path, kind, ending):
+    write, bits = _FILE_KINDS[kind]
+    lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    write(lf)
+    text = lf.read_text()
+    assert text.endswith("\n") and "\r" not in text
+    other.write_bytes((text[:-1] if ending is None else text.replace("\n", ending)).encode())
+    assert bits(other) == bits(lf)
+
+
+@pytest.mark.parametrize("kind, at, needle", [
+    ("cube", "first", "line 2: expected 4 columns, got 1"),
+    ("cube", "last", "line 6: expected 4 columns, got 1"),
+    ("point", "first", "line 3: expected 3 columns, got 1"),
+    ("point", "last", "line 6: expected 3 columns, got 1"),
+])
+def test_a_blank_first_or_last_row_is_named_by_its_line(tmp_path, kind, at, needle):
+    # loadtxt would skip a blank row without a word
+    p = tmp_path / "rows.csv"
+    if kind == "cube":
+        write_space_time(p, SpaceTimeGrid(np.ones((1, 2, 2))))
+    else:
+        write_field(p, _point_field())
+    lines = p.read_text().splitlines()
+    if at == "first":
+        lines.insert(1 if kind == "cube" else 2, "")
+    else:
+        lines.append("")
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=needle):
+        (read_space_time if kind == "cube" else read_field)(p)
+
+
+_ODD_BREAKS = ["\x0b", "\x0c", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("brk", _ODD_BREAKS, ids=[f"U+{ord(c):04X}" for c in _ODD_BREAKS])
+@pytest.mark.parametrize("kind, line", [("cube", 3), ("point", 4), ("ese", 3)])
+def test_a_line_break_other_than_newline_is_refused_naming_its_line(
+        tmp_path, monkeypatch, capsys, kind, line, brk):
+    # loadtxt reads "1.5" followed by any of these as 1.5, while
+    # str.splitlines would break the line there
+    monkeypatch.chdir(tmp_path)
+    if kind == "cube":
+        write_space_time("in.csv", SpaceTimeGrid(np.ones((1, 2, 2))))
+    elif kind == "point":
+        write_field("in.csv", _point_field())
+    else:
+        _ese_file("in.csv", False)
+    lines = (tmp_path / "in.csv").read_text().split("\n")
+    lines[line - 1] += brk
+    (tmp_path / "in.csv").write_text("\n".join(lines))
+    needle = f"in.csv: line {line}: line break U+{ord(brk):04X} is refused"
+    read = {"cube": read_space_time, "point": read_field, "ese": read_ese}[kind]
+    with pytest.raises(DataFormatError, match=re.escape(needle)):
+        read("in.csv")
+    if kind == "ese":  # no command reads an estimate table
+        return
+    argv = (["ingest", "--block", "1", "--windows", "0:1", "--out-dir", "o"] if kind == "cube"
+            else ["estimate", "--mode", "kernel", "--bandwidth", "1", "--threshold", "q=0.5",
+                  "--lags", "1", "--out", "o.csv"])
+    assert main([*argv, "--input", "in.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["message"].startswith(needle)
+    assert os.listdir(tmp_path) == ["in.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("bad", [None, "0,0,1,abc"], ids=["good", "bad row"])
+def test_a_cube_read_through_a_named_pipe_reads_like_its_file(tmp_path, bad):
+    # a pipe cannot seek back to its body, so its rows parse from the text
+    cube, pipe = tmp_path / "cube.csv", tmp_path / "cube.fifo"
+    write_space_time(cube, SpaceTimeGrid(derive_rng(4).gamma(2.0, 1.0, (2, 3, 4))))
+    if bad:
+        lines = cube.read_text().splitlines()
+        lines[2] = bad
+        cube.write_text("\n".join(lines) + "\n")
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(cube.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        if bad:
+            with pytest.raises(DataFormatError, match="cube.fifo: line 3: bad index or value"):
+                read_space_time(pipe)
+        else:
+            assert _cube_bits(pipe) == _cube_bits(cube)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()

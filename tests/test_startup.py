@@ -7,7 +7,8 @@ of cephes' ``ndtr``.  pytest has imported scipy already, so the probe
 runs in its own process, with an import hook that refuses ``scipy`` and
 every submodule of it.  A scan of the sources also holds the package to
 numpy's public modules, but for the Cholesky gufunc that factors a
-Brown-Resnick covariance in place.
+Brown-Resnick covariance in place, and holds ``fileio`` to its one
+streaming row reader.
 """
 import ast
 import json
@@ -169,3 +170,42 @@ def test_no_module_of_the_package_imports_a_private_numpy_module():
         "from numpy.random import default_rng\nimport _numpy_like\nfrom . import _private\n"
     ) == [(2, "numpy.linalg._umath_linalg"), (4, "numpy._core"), (5, "numpy.linalg._linalg"),
           (8, "numpy.linalg._umath_linalg"), (9, "numpy._core"), (10, "numpy._utils")]
+
+
+_ROW_READER = "_read_table"
+
+
+def _row_parsing_outside(source: str, names=("splitlines", "loadtxt")) -> list[tuple[int, str]]:
+    """(line, name) of each use of ``names`` in ``source``, as an attribute
+    (``text.splitlines``, ``np.loadtxt``) or a bare name, that is not inside
+    the top-level function ``_read_table``."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == _ROW_READER:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append((node.lineno, node.attr))
+            elif isinstance(node, ast.Name) and node.id in names:
+                found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_fileio_parses_rows_only_in_its_one_streaming_reader():
+    # a second reader that splits the text into a list of lines would
+    # hold every row twice beside the records
+    source = (Path(extremogram.__file__).resolve().parent / "fileio.py").read_text()
+    tree = ast.parse(source)
+    reader = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == _ROW_READER]
+    assert len(reader) == 1
+    assert [node.attr for node in ast.walk(reader[0])
+            if isinstance(node, ast.Attribute) and node.attr == "loadtxt"] == ["loadtxt"]
+    assert _row_parsing_outside(source) == []
+    assert _row_parsing_outside(
+        "def _read_table(path):\n    return np.loadtxt(open(path).read().splitlines())\n"
+        "def read_other(path):\n    lines = open(path).read().splitlines()\n"
+        "    return np.loadtxt(lines)\n"
+        "from numpy import loadtxt\nparse = loadtxt\n"
+        "class Reader:\n    def rows(self, text):\n        return text.splitlines()\n"
+    ) == [(4, "splitlines"), (5, "loadtxt"), (7, "loadtxt"), (10, "splitlines")]
