@@ -77,8 +77,8 @@ _EXIT_CODES = (
     ((DegenerateThreshold, DegenerateDenominator, FactorizationFailure), 3),
     # the input data cannot be used
     ((DataFormatError, EmptyInput, EmptyField, NonDivisibleBlock, WindowOutOfRange, OSError), 2),
-    # bad flags or parameter combinations
-    ((UsageError, ValueError, ExtremogramError), 1),
+    # bad flags or parameter combinations, or a request larger than memory
+    ((UsageError, ValueError, ExtremogramError, MemoryError), 1),
 )
 _HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
 
@@ -103,14 +103,19 @@ def _values(text: str, flag: str, kind=float, sep: str = ",") -> tuple:
         raise UsageError(f"{flag} must be {noun} separated by {sep!r}, got {text!r}")
 
 
+def _flagged(flag: str, text: str, build):
+    """``build()``, whose ValueError is a UsageError naming ``flag`` and its ``text``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}")
+
+
 def _tagged(text: str, flag: str, builders: dict):
     """Read ``<tag><number>`` and build the value with that tag's builder."""
     for tag, build in builders.items():
         if text.startswith(tag):
-            try:
-                return build(float(text[len(tag):]))
-            except ValueError as exc:
-                raise UsageError(f"bad {flag} {text!r}: {exc}")
+            return _flagged(flag, text, lambda: build(float(text[len(tag):])))
     forms = " or ".join(f"{tag}<number>" for tag in builders)
     raise UsageError(f"{flag} must be {forms}, got {text!r}")
 
@@ -179,7 +184,8 @@ def _resolve_lags(spec, config: EstimatorConfig, dims):
     if kind == "scalar":
         if config.mode == "lattice" and dims is not None:
             return _grid_lags(dims, value)
-        return lag_grid(value, 2 if dims is None else len(dims))
+        d = 2 if dims is None else len(dims)
+        return _flagged("--lags", f"{value:g}", lambda: lag_grid(value, d))
     raise UsageError(
         "a comma list of distances needs --by-distance; "
         "use 'x,y;x,y' for explicit vector lags"
@@ -350,7 +356,10 @@ def _lattice_model(args, dims):
     if args.model == "mma1":
         return MmaModel(dims, WeightSpec.indicator_ball(1.0))
     if args.model == "mma":
-        return MmaModel(dims, _parse_weights(args.weights))
+        model = MmaModel(dims, _parse_weights(args.weights))
+        # the support is built here, so a ball too large to build names its flag
+        _flagged("--weights", args.weights, lambda: model.plan)
+        return model
     if len(dims) != 2:
         raise UsageError("brown-resnick simulation is planar; --dims nx,ny")
     return BrLatticeModel(dims, _variogram(args), _br_config(args), spacing=args.spacing)
@@ -558,7 +567,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except _HANDLED as exc:
         code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+        # numpy raises a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return code
 

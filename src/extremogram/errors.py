@@ -15,7 +15,6 @@ __all__ = [
     "DomainError",
     "LagOutOfRange",
     "FactorizationFailure",
-    "UnsupportedSets",
     "NonDivisibleBlock",
     "WindowOutOfRange",
     "TooFewPermutations",
@@ -53,10 +52,6 @@ class LagOutOfRange(ExtremogramError):
 
 class FactorizationFailure(ExtremogramError):
     """The jittered covariance matrix is not positive semidefinite."""
-
-
-class UnsupportedSets(ExtremogramError):
-    """A closed form is only available for the sets it was derived for."""
 
 
 class NonDivisibleBlock(ExtremogramError):

@@ -69,7 +69,7 @@ _AXIS_NAMES = ("x", "y", "z")
 def _write_text(path, text: str) -> None:
     """Replace ``path`` with ``text`` whole: a crash leaves the old file or the new."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x")
+    fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             fh.write(text)
@@ -198,6 +198,22 @@ def _format_rows(columns) -> str:
 # the line breaks that str.splitlines knows besides \n; text mode has
 # already turned \r and \r\n into \n
 _ODD_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# errors="surrogateescape" reads a byte that is not UTF-8 as one of
+# U+DC80..U+DCFF, which valid UTF-8 never reads as
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _check_text(path, part: str, first_line: int, breaks: str = "") -> None:
+    """Refuse a byte of ``part``, which starts at line ``first_line``, that
+    is not UTF-8, then any of ``breaks``, naming its line."""
+    byte = None if part.isascii() else _NOT_UTF8.search(part)
+    # str.find, one break at a time, is a fast scan; a regex is not
+    at = byte.start() if byte else min((i for i in map(part.find, breaks) if i >= 0), default=None)
+    if at is not None:
+        line = first_line + part.count("\n", 0, at)
+        why = (f"byte 0x{ord(part[at]) - 0xDC00:02X} is not UTF-8" if byte else
+               f"line break U+{ord(part[at]):04X} is refused; only \\n, \\r\\n and \\r end a line")
+        raise DataFormatError(f"{path}: line {line}: {why}")
 
 
 def _read_table(path, n_header: int, layout, fill=None):
@@ -211,24 +227,20 @@ def _read_table(path, n_header: int, layout, fill=None):
     dtype's fields take the columns in order, a field of shape ``(k,)``
     k of them.  Once the body text is checked it is released, and
     ``np.loadtxt`` streams the rows from the same handle, each through
-    ``fill`` when given.  A line break other than LF, CRLF or CR, a
-    blank row, a wrong column count, an integer cell that is not
-    ``[0-9-]`` only or a token that is not a number raises, naming its
-    line.
+    ``fill`` when given.  A byte that is not UTF-8, a line break other
+    than LF, CRLF or CR, a blank row, a wrong column count, an integer
+    cell that is not ``[0-9-]`` only or a token that is not a number
+    raises, naming its line.
     """
-    with open(path) as fh:  # text mode reads \r and \r\n as \n
+    # text mode reads \r and \r\n as \n
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         head = [fh.readline() for _ in range(n_header)]
         start = fh.tell() if fh.seekable() else 0
         text = fh.read()
         # a pipe cannot seek back to its body, so it parses from a copy
         body = fh if fh.seekable() else io.StringIO(text)
-        for before, part in ((0, "".join(head)), (n_header, text)):
-            # str.find, one break at a time, is a fast scan; a regex is not
-            at = min((i for i in map(part.find, _ODD_BREAKS) if i >= 0), default=None)
-            if at is not None:
-                lineno = before + part.count("\n", 0, at) + 1
-                raise DataFormatError(f"{path}: line {lineno}: line break U+{ord(part[at]):04X} "
-                                      "is refused; only \\n, \\r\\n and \\r end a line")
+        _check_text(path, "".join(head), 1, _ODD_BREAKS)
+        _check_text(path, text, n_header + 1, _ODD_BREAKS)
         # a last row may lack its \n
         n_rows = text.count("\n") + (text != "" and text[-1] != "\n")
         dtype, build = layout([line.removesuffix("\n") for line in head if line], n_rows)
@@ -390,11 +402,13 @@ def read_ese(path) -> tuple[np.recarray, dict]:
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
-        with open(side) as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{side}: bad JSON sidecar ({exc})") from exc
+        with open(side, encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        _check_text(side, text, 1)
+        try:
+            meta = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{side}: bad JSON sidecar ({exc})") from exc
     return table, meta
 
 

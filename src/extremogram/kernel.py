@@ -87,17 +87,6 @@ class KernelSpec:
             return np.full(nsq.shape, 4.0 / math.pi)
         return (8.0 / math.pi) * (1.0 - 4.0 * nsq)
 
-    def unscaled(self, points) -> np.ndarray:
-        """Density w at rows of ``points`` (shape (k, 2))."""
-        pts = np.asarray(points, dtype=float)
-        nsq = np.sum(pts * pts, axis=-1)
-        return np.where(nsq <= 0.25, self.profile(nsq), 0.0)
-
-    def scaled(self, diffs) -> np.ndarray:
-        """w_n at difference vectors ``diffs`` (shape (k, 2))."""
-        lam = self.bandwidth
-        return self.unscaled(np.asarray(diffs, dtype=float) / lam) / (lam * lam)
-
     def label(self) -> str:
         return f"{self.shape}(lambda={self.bandwidth:g})"
 

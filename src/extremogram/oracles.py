@@ -12,6 +12,8 @@ These are the analytic targets the estimators are judged against:
   ``IidLaw``, ``MmaLaw`` or ``BrLaw`` with ``oracle_limit(lag)`` and
   ``oracle_pa(lag, m)``.
 
+Every value is for the exceedance ray (1, inf) as both sets, the only
+pair these closed forms hold for; no function takes other sets.
 Everything here is deterministic, cheap, and independent of the
 estimator code paths, so tests can use these functions as oracles.
 """
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedSets
-from .fields import ExtremeSet, Lag, as_lag
+from .errors import DomainError
+from .fields import Lag, as_lag
 from .simulate import MmaPlan, VariogramSpec, WeightSpec, _ndtr
 
 __all__ = [
@@ -54,16 +56,6 @@ class PaValue:
     m: float
     rho_pa: float
     rho_limit: float
-
-
-def _check_ray_sets(set_a, set_b):
-    for s in (set_a, set_b):
-        if s is None:
-            continue
-        if not (s.is_ray and s.lower == 1.0):
-            raise UnsupportedSets(
-                f"closed form is only available for the set (1,inf), got {s.label()}"
-            )
 
 
 class IidLaw:
@@ -133,19 +125,13 @@ def _mma_pa(rho_limit: float, m: float) -> float:
     return float(rho_pa)
 
 
-def mma_extremogram(
-    weights: WeightSpec,
-    h,
-    set_a: ExtremeSet | None = None,
-    set_b: ExtremeSet | None = None,
-) -> float:
+def mma_extremogram(weights: WeightSpec, h) -> float:
     """Limit tail dependence of an MMA field at integer lag h.
 
     Equals ``sum_s min(w(s), w(h+s)) / sum_s w(s)`` over the (truncated)
-    weight support.  Only the exceedance ray (1, inf) has this closed
-    form; other sets raise UnsupportedSets.
+    weight support.  Both sets are fixed to the exceedance ray (1, inf),
+    the only pair with this closed form.
     """
-    _check_ray_sets(set_a, set_b)
     lag = as_lag(h)
     return MmaLaw(MmaPlan(weights, lag.d)).oracle_limit(lag)
 

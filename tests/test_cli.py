@@ -428,13 +428,14 @@ def test_rate_check_reads_one_ref_lag_vector_as_its_components(capsys):
 EXIT_CODES = {
     "DegenerateThreshold": 3, "DegenerateDenominator": 3, "FactorizationFailure": 3,
     "DataFormatError": 2, "EmptyInput": 2, "EmptyField": 2, "NonDivisibleBlock": 2,
-    "WindowOutOfRange": 2, "DomainError": 1, "LagOutOfRange": 1, "UnsupportedSets": 1,
+    "WindowOutOfRange": 2, "DomainError": 1, "LagOutOfRange": 1,
     "TooFewPermutations": 1, "ExtremogramError": 1, "FileNotFoundError": 2, "ValueError": 1,
+    "MemoryError": 1,
 }
 
 
 @pytest.mark.parametrize("exc", [getattr(errors, name) for name in errors.__all__]
-                         + [FileNotFoundError, ValueError])
+                         + [FileNotFoundError, ValueError, MemoryError])
 def test_every_error_class_has_its_exit_code(monkeypatch, capsys, exc):
     def fail(*args):
         raise exc("boom")
@@ -443,6 +444,19 @@ def test_every_error_class_has_its_exit_code(monkeypatch, capsys, exc):
     code, out, err = run(capsys, "oracle", "--model", "mma1", "--lags", "1")
     assert code == EXIT_CODES[exc.__name__] and out == ""
     assert json.loads(err) == {"error": exc.__name__, "message": "boom"}
+
+
+def test_a_memory_error_subclass_is_reported_as_memory_error(monkeypatch, capsys):
+    class _ArrayMemoryError(MemoryError):  # numpy raises a private subclass
+        pass
+
+    def fail(*args):
+        raise _ArrayMemoryError("Unable to allocate 1.00 PiB")
+
+    monkeypatch.setattr(cli, "_snap_distance", fail)
+    code, out, err = run(capsys, "oracle", "--model", "mma1", "--lags", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 1.00 PiB"}
 
 
 def test_ingest_end_to_end(tmp_path, capsys):
@@ -603,6 +617,10 @@ _PAST_THE_BALL_BOUND = [
     ["estimate", "--input", "p.csv", "--mode", "kernel", "--bandwidth", "1", "--threshold",
      "q=0.9", "--lags", "100000", "--out", "o.csv"],
     [*_SIMULATE, "--model", "mma", "--dims", "8,8", "--weights", "ball:100000"],
+    ["mc", "--model", "mma", "--dims", "8,8", "--weights", "ball:100000", "--threshold", "q=0.9",
+     "--lags", "1", "--reps", "2", "--seed", "0", "--out", "o.csv"],
+    ["rate-check", "--model", "mma", "--weights", "ball:100000", "--sizes", "8,10", "--reps", "2",
+     "--seed", "0", "--out", "o.csv"],
 ]
 
 
@@ -623,7 +641,10 @@ def test_a_ball_past_its_bound_is_refused_before_its_box_is_built(
     lines = err.strip().splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
-    assert payload["error"] == "ValueError" and "ball of radius 100000" in payload["message"]
+    assert payload["error"] == "UsageError" and "ball of radius 100000" in payload["message"]
+    flag = "--lags" if "--lags" in argv and "--weights" not in argv else "--weights"
+    assert payload["message"].startswith(f"bad {flag} '")
+    assert "spans a box of 40,000,400,001 offsets" in payload["message"]
     assert sorted(os.listdir(tmp_path)) == ["p.csv"]
 
 

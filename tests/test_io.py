@@ -686,6 +686,49 @@ def test_a_line_break_other_than_newline_is_refused_naming_its_line(
     assert os.listdir(tmp_path) == ["in.csv"]
 
 
+# a byte never in UTF-8, a two-byte sequence cut short, an encoded surrogate
+_NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xb2\x80"]
+
+
+@pytest.mark.parametrize("raw", _NOT_UTF8, ids=["FF", "cut C3", "surrogate ED"])
+@pytest.mark.parametrize("kind, line", [("cube", 3), ("lattice", 1), ("lattice", 4),
+                                        ("ese", 2), ("sidecar", 3)])
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_line(
+        tmp_path, monkeypatch, capsys, kind, line, raw):
+    monkeypatch.chdir(tmp_path)
+    if kind == "cube":
+        write_space_time("in.csv", SpaceTimeGrid(np.ones((1, 2, 2))))
+    elif kind == "lattice":
+        write_field("in.csv", sim_frechet_iid((3, 4), seed=1))
+    else:
+        _ese_file("in.csv", False)
+    path = tmp_path / ("in.json" if kind == "sidecar" else "in.csv")
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += raw
+    path.write_bytes(b"\n".join(lines))
+    needle = f"{path.name}: line {line}: byte 0x{raw[0]:02X} is not UTF-8"
+    read = {"cube": read_space_time, "lattice": read_field}.get(kind, read_ese)
+    with pytest.raises(DataFormatError, match=re.escape(needle)):
+        read("in.csv")
+    if kind in ("ese", "sidecar"):  # no command reads an estimate table
+        return
+    argv = (["ingest", "--block", "1", "--windows", "0:1", "--out-dir", "o"] if kind == "cube"
+            else ["estimate", "--mode", "lattice", "--threshold", "q=0.9", "--lags", "1",
+                  "--out", "o.csv"])
+    assert main([*argv, "--input", "in.csv"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "DataFormatError", "message": needle}
+    assert os.listdir(tmp_path) == ["in.csv"]
+
+
+def test_a_sidecar_holding_utf8_text_reads_back(tmp_path):
+    _ese_file(tmp_path / "ese.csv", False)
+    (tmp_path / "ese.json").write_bytes('{"site": "Z\u00fcrich \u2028"}\n'.encode())
+    assert read_ese(tmp_path / "ese.csv")[1] == {"site": "Z\u00fcrich \u2028"}
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("bad", [None, "0,0,1,abc"], ids=["good", "bad row"])
 def test_a_cube_read_through_a_named_pipe_reads_like_its_file(tmp_path, bad):

@@ -80,24 +80,9 @@ def test_kernel_normalizes_to_one():
         assert err < 1e-10
 
 
-def test_kernel_is_isotropic():
-    spec = KernelSpec.epanechnikov(1.0)
-    r = 0.3
-    angles = np.linspace(0, 2 * math.pi, 9)
-    pts = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
-    w = spec.unscaled(pts)
-    # cos/sin rounding perturbs the radius in the last ulp
-    assert np.allclose(w, w[0], rtol=1e-14)
-
-
 def test_kernel_scaling_and_support():
     spec = KernelSpec.box(0.5)
     assert spec.support_radius == 0.25
-    inside = spec.unscaled(np.array([[0.49, 0.0]]))
-    outside = spec.unscaled(np.array([[0.51, 0.0]]))
-    assert inside[0] > 0 and outside[0] == 0.0
-    diffs = np.array([[0.1, 0.05]])
-    assert spec.scaled(diffs)[0] == spec.unscaled(diffs / 0.5)[0] / 0.25
 
 
 def test_kernel_spec_validation():

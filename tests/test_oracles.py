@@ -17,7 +17,6 @@ from extremogram import (
     DomainError,
     Lag,
     MmaPlan,
-    UnsupportedSets,
     VariogramSpec,
     WeightSpec,
     br_extremogram,
@@ -33,7 +32,6 @@ from extremogram import (
     mma_pa_extremogram,
 )
 from extremogram import oracles
-from extremogram.fields import ExtremeSet
 from extremogram.oracles import MmaLaw, br_pa_exceedance
 from extremogram.simulate import _MAXLOG, _ndtr
 
@@ -100,8 +98,6 @@ def test_mma1_rejects_unattainable_distance():
 
 
 def test_mma_extremogram_needs_exceedance_rays():
-    with pytest.raises(UnsupportedSets):
-        mma_extremogram(BALL, Lag.of(1, 0), set_a=ExtremeSet(1.0, 2.0))
     with pytest.raises(DomainError):
         mma_pa_extremogram(BALL, Lag.of(1, 0), m=0.5)
 
